@@ -19,6 +19,7 @@
 #include "advisor/workload_monitor.h"
 #include "bench_common.h"
 #include "costmodel/cost_model.h"
+#include "costmodel/noisy_model.h"
 #include "costmodel/workload_cost_tracker.h"
 #include "sql/ddl.h"
 #include "sql/parser.h"
@@ -78,6 +79,55 @@ void BM_CostModelPlanTpcdsQuery(benchmark::State& s) {
   }
 }
 BENCHMARK(BM_CostModelPlanTpcdsQuery);
+
+struct TpcchFixture {
+  TpcchFixture()
+      : schema(schema::MakeTpcchSchema()),
+        wl(workload::MakeTpcchWorkload(schema)),
+        edges(partition::EdgeSet::Extract(schema, wl)),
+        model(&schema, costmodel::HardwareProfile::DiskBased10G()),
+        // The engine's runtime planner (bench_common.h's planner_model).
+        planner(&schema, costmodel::HardwareProfile::DiskBased10G(),
+                /*depth_sigma=*/0.05, /*seed=*/2,
+                /*use_independence_assumption=*/false),
+        state(partition::PartitioningState::Initial(&schema, &edges)) {
+    for (int i = 1; i < wl.num_queries(); ++i) {
+      if (wl.query(i).num_tables() > wl.query(largest).num_tables()) largest = i;
+    }
+  }
+
+  schema::Schema schema;
+  workload::Workload wl;
+  partition::EdgeSet edges;
+  costmodel::CostModel model;
+  costmodel::NoisyOptimizerModel planner;
+  partition::PartitioningState state;
+  int largest = 0;  // the query with the most tables
+};
+
+TpcchFixture& Tpcch() {
+  static TpcchFixture fixture;
+  return fixture;
+}
+
+void BM_CostModelPlanTpcchQuery(benchmark::State& s) {
+  auto& f = Tpcch();
+  const auto& q = f.wl.query(f.largest);
+  for (auto _ : s) {
+    benchmark::DoNotOptimize(f.model.QueryCost(q, f.state));
+  }
+}
+BENCHMARK(BM_CostModelPlanTpcchQuery);
+
+void BM_CostModelPlanNoisyTpcchQuery(benchmark::State& s) {
+  // The engine plans with PlanQuery, so this one builds the plan tree.
+  auto& f = Tpcch();
+  const auto& q = f.wl.query(f.largest);
+  for (auto _ : s) {
+    benchmark::DoNotOptimize(f.planner.PlanQuery(q, f.state));
+  }
+}
+BENCHMARK(BM_CostModelPlanNoisyTpcchQuery);
 
 void BM_FeaturizerEncodeState(benchmark::State& s) {
   auto& f = Ssb();

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <map>
+#include <limits>
 #include <sstream>
 
 #include "telemetry/registry.h"
@@ -37,36 +37,13 @@ using schema::ColumnRef;
 using workload::QuerySpec;
 
 /// Partitioning property of an intermediate result: replicated everywhere,
-/// or hash-partitioned on an equivalence class of join columns.
+/// or hash-partitioned on an equivalence class of join columns. The class is
+/// a mask of the query-local column ids PlanSearch assigns; `distinct` prices
+/// the skew of the partitioning but is not part of the class key.
 struct Prop {
   bool replicated = false;
-  std::vector<ColumnRef> cols;  // sorted (table, column) pairs
+  uint64_t cols = 0;
   int64_t distinct = 1;
-
-  bool partitioned() const { return !replicated; }
-
-  bool Contains(const ColumnRef& ref) const {
-    return std::find(cols.begin(), cols.end(), ref) != cols.end();
-  }
-
-  void AddCol(const ColumnRef& ref) {
-    if (!Contains(ref)) cols.push_back(ref);
-  }
-
-  void Canonicalize() {
-    std::sort(cols.begin(), cols.end(), [](const ColumnRef& a, const ColumnRef& b) {
-      return a.table != b.table ? a.table < b.table : a.column < b.column;
-    });
-  }
-
-  std::string Signature() const {
-    if (replicated) return "R";
-    std::string s;
-    for (const auto& c : cols) {
-      s += std::to_string(c.table) + "." + std::to_string(c.column) + ",";
-    }
-    return s;
-  }
 };
 
 /// One Pareto entry of the DP table: a plan for a table subset with a given
@@ -84,32 +61,40 @@ struct Entry {
   /// (Postgres-XL-like), the *unfiltered* table is shipped: factor = 1/sel.
   double ship = 1.0;
   Prop prop;
-  // Provenance for plan reconstruction.
+  // Provenance for plan reconstruction: the input subsets and their entries'
+  // arena indices.
   uint32_t lset = 0, rset = 0;
-  int lentry = -1, rentry = -1;
+  uint32_t lentry = 0, rentry = 0;
   int predicate = -1;
   JoinStrategy strategy = JoinStrategy::kCoLocated;
   int align_eq = 0;
   double net_s = 0.0, cpu_s = 0.0;  // this join's own cost split
 };
 
-/// Equality endpoints oriented so that `in_left` belongs to the left subset
-/// of the current split.
+/// A join equality oriented for a split: `left` is the column bit on the
+/// split's left side.
 struct OrientedEquality {
-  ColumnRef in_left;
-  ColumnRef in_right;
-  int equality_index;
+  uint64_t left = 0, right = 0;
+  int64_t key_distinct = 0;  // min of the two columns' distinct counts
+  double key_skew = 1.0;     // SkewFactor(key_distinct, nodes)
+  int index = 0;             // into JoinPredicate::equalities
 };
 
 struct PredicateInfo {
-  int index;                 // into QuerySpec::joins
-  int local_left, local_right;  // query-local table indices
+  int index = 0;              // into QuerySpec::joins
+  uint32_t lbit = 0, rbit = 0;  // query-local bits of the two tables
   /// Denominator of the join-cardinality estimate. For a (possibly
   /// composite) equi-join we use max over the two endpoint tables T of
   /// min(prod of the distinct counts of T's key columns, |T|): exact for
   /// single-column FK joins, and for composite keys it identifies the side
   /// on which the key is (closest to) unique.
-  double denominator;
+  double denominator = 1.0;
+  /// The equalities oriented for a split whose left side holds the
+  /// predicate's left table ([0]) or its right table ([1]).
+  std::vector<OrientedEquality> oriented[2];
+  /// Symmetric repartitioning uses the first equality with the most distinct
+  /// key values (the least skewed).
+  int best_eq = 0;
 };
 
 class PlanSearch {
@@ -121,23 +106,31 @@ class PlanSearch {
         hw_(model.hardware()),
         query_(query),
         state_(state) {
-    int k = query.num_tables();
-    LPA_CHECK(k >= 1 && k <= 16);
-    for (int i = 0; i < k; ++i) local_of_[query.scans[static_cast<size_t>(i)].table] = i;
-    for (size_t j = 0; j < query.joins.size(); ++j) {
-      const auto& join = query.joins[j];
+    const int k = query.num_tables();
+    LPA_CHECK(k >= 1 && k <= QuerySpec::kMaxTables);
+    for (const auto& join : query.joins) {
       PredicateInfo info;
-      info.index = static_cast<int>(j);
-      info.local_left = local_of_.at(join.left_table());
-      info.local_right = local_of_.at(join.right_table());
+      info.index = static_cast<int>(preds_.size());
+      info.lbit = 1u << LocalOf(join.left_table());
+      info.rbit = 1u << LocalOf(join.right_table());
       double prod_l = 1.0, prod_r = 1.0;
-      for (const auto& eq : join.equalities) {
-        prod_l = std::min(prod_l * static_cast<double>(
-                                       schema_.column(eq.left).distinct_count),
-                          1e30);
-        prod_r = std::min(prod_r * static_cast<double>(
-                                       schema_.column(eq.right).distinct_count),
-                          1e30);
+      int64_t best_distinct = -1;
+      for (size_t i = 0; i < join.equalities.size(); ++i) {
+        const auto& eq = join.equalities[i];
+        int64_t dl = schema_.column(eq.left).distinct_count;
+        int64_t dr = schema_.column(eq.right).distinct_count;
+        prod_l = std::min(prod_l * static_cast<double>(dl), 1e30);
+        prod_r = std::min(prod_r * static_cast<double>(dr), 1e30);
+        int64_t key = std::min(dl, dr);
+        OrientedEquality o{ColumnBit(eq.left), ColumnBit(eq.right), key,
+                           SkewFactor(key, hw_.num_nodes), static_cast<int>(i)};
+        info.oriented[0].push_back(o);
+        std::swap(o.left, o.right);
+        info.oriented[1].push_back(o);
+        if (o.key_distinct > best_distinct) {
+          best_distinct = o.key_distinct;
+          info.best_eq = o.index;
+        }
       }
       double rows_l =
           static_cast<double>(schema_.table(join.left_table()).row_count);
@@ -146,59 +139,76 @@ class PlanSearch {
       info.denominator =
           std::max(std::min(prod_l, rows_l), std::min(prod_r, rows_r));
       info.denominator = std::max(info.denominator, 1.0);
-      preds_.push_back(info);
+      preds_.push_back(std::move(info));
     }
-    entries_.resize(1u << k);
+    factors_.assign(preds_.size() * static_cast<size_t>(k + 1),
+                    std::numeric_limits<double>::quiet_NaN());
+    buckets_.resize(size_t{1} << k);
   }
 
-  QueryPlan Run() {
+  /// Runs the DP; the plan tree is built only when `with_tree` is set.
+  QueryPlan Run(bool with_tree) {
     const int k = query_.num_tables();
     const uint32_t full = (1u << k) - 1;
     // Base relations.
     for (int i = 0; i < k; ++i) {
-      entries_[1u << i].push_back(BaseEntry(i));
+      buckets_[1u << i] = {Size(), Size() + 1};
+      arena_.push_back(BaseEntry(i));
     }
     // Connected-subgraph DP in ascending mask order: every proper submask is
-    // numerically smaller, so its entries are already final.
+    // numerically smaller, so its entries are already final, and each mask's
+    // entries are appended to the arena contiguously.
     uint64_t subsets = 0, splits = 0;
     for (uint32_t mask = 1; mask <= full; ++mask) {
-      if (std::popcount(mask) < 2) continue;
+      const int joined = std::popcount(mask);
+      if (joined < 2) continue;
       ++subsets;
+      buckets_[mask].begin = Size();
       uint32_t lowest = mask & (~mask + 1);
       // Enumerate splits; anchoring the lowest bit on the left halves the
       // enumeration without losing plans (strategies cover both sides).
       for (uint32_t sub = (mask - 1) & mask; sub; sub = (sub - 1) & mask) {
         if (!(sub & lowest)) continue;
         uint32_t other = mask ^ sub;
-        if (entries_[sub].empty() || entries_[other].empty()) continue;
-        auto connecting = ConnectingPredicates(sub, other);
-        if (connecting.empty()) continue;
+        const Bucket lb = buckets_[sub], rb = buckets_[other];
+        if (lb.empty() || rb.empty()) continue;
+        // The first connecting predicate drives alignment decisions; extra
+        // ones (cyclic join graphs) only tighten cardinality.
+        const PredicateInfo* prime = nullptr;
+        split_factors_.clear();
+        for (const auto& p : preds_) {
+          if (((sub & p.lbit) && (other & p.rbit)) ||
+              ((sub & p.rbit) && (other & p.lbit))) {
+            if (prime == nullptr) prime = &p;
+            split_factors_.push_back(JoinFactor(p, joined));
+          }
+        }
+        if (prime == nullptr) continue;
         ++splits;
-        for (size_t li = 0; li < entries_[sub].size(); ++li) {
-          for (size_t ri = 0; ri < entries_[other].size(); ++ri) {
-            EmitJoins(mask, sub, other, static_cast<int>(li),
-                      static_cast<int>(ri), connecting);
+        for (uint32_t li = lb.begin; li < lb.end; ++li) {
+          for (uint32_t ri = rb.begin; ri < rb.end; ++ri) {
+            EmitJoins(mask, sub, other, li, ri, *prime);
           }
         }
       }
+      buckets_[mask].end = Size();
     }
-    LPA_CHECK(!entries_[full].empty());  // guaranteed: join graph is connected
-    uint64_t kept = 0;
-    for (const auto& bucket : entries_) kept += bucket.size();
-    auto& cm = CostModelMetrics::Get();
-    cm.dp_subsets.Add(subsets);
-    cm.dp_splits.Add(splits);
-    cm.pareto_entries.Add(kept);
+    const Bucket top = buckets_[full];
+    LPA_CHECK(!top.empty());  // guaranteed: join graph is connected
+    if (subsets > 0) {  // a single scan enumerates no joins
+      auto& cm = CostModelMetrics::Get();
+      cm.dp_subsets.Add(subsets);
+      cm.dp_splits.Add(splits);
+      cm.pareto_entries.Add(arena_.size());
+    }
     // Pick the cheapest full plan and assemble the QueryPlan.
-    int best = 0;
-    for (size_t i = 1; i < entries_[full].size(); ++i) {
-      if (entries_[full][i].cost < entries_[full][static_cast<size_t>(best)].cost) {
-        best = static_cast<int>(i);
-      }
+    uint32_t best = top.begin;
+    for (uint32_t i = top.begin + 1; i < top.end; ++i) {
+      if (arena_[i].cost < arena_[best].cost) best = i;
     }
     QueryPlan plan;
-    plan.root = Reconstruct(full, best);
-    const Entry& e = entries_[full][static_cast<size_t>(best)];
+    if (with_tree) plan.root = Reconstruct(full, best);
+    const Entry& e = arena_[best];
     AccumulateJoinCosts(full, best, &plan);
     plan.scan_seconds = ScanSeconds();
     double out_rows = e.card * query_.output_fraction;
@@ -208,7 +218,43 @@ class PlanSearch {
   }
 
  private:
-  Entry BaseEntry(int local) const {
+  /// The entries of one table subset: arena indices [begin, end).
+  struct Bucket {
+    uint32_t begin = 0, end = 0;
+    bool empty() const { return begin == end; }
+  };
+
+  uint32_t Size() const { return static_cast<uint32_t>(arena_.size()); }
+
+  int LocalOf(schema::TableId table) const {
+    for (int i = 0; i < query_.num_tables(); ++i) {
+      if (query_.scans[static_cast<size_t>(i)].table == table) return i;
+    }
+    LPA_CHECK(false);  // Validate: joins reference scanned tables
+    return -1;
+  }
+
+  /// The query-local bit of a column, assigned on first use.
+  uint64_t ColumnBit(const ColumnRef& ref) {
+    auto it = std::find(columns_.begin(), columns_.end(), ref);
+    if (it == columns_.end()) {
+      LPA_CHECK(columns_.size() < size_t{QuerySpec::kMaxPlanColumns});
+      it = columns_.insert(it, ref);
+    }
+    return uint64_t{1} << (it - columns_.begin());
+  }
+
+  /// CardinalityScale(query, p, joined) / p.denominator, memoized per search.
+  double JoinFactor(const PredicateInfo& p, int joined) {
+    const int slot = p.index * (query_.num_tables() + 1) + joined;
+    double& f = factors_[static_cast<size_t>(slot)];
+    if (std::isnan(f)) {
+      f = model_.CardinalityScale(query_, p.index, joined) / p.denominator;
+    }
+    return f;
+  }
+
+  Entry BaseEntry(int local) {
     const auto& scan = query_.scans[static_cast<size_t>(local)];
     const auto& table = schema_.table(scan.table);
     Entry e;
@@ -222,82 +268,45 @@ class PlanSearch {
     if (tp.replicated) {
       e.prop.replicated = true;
     } else {
-      e.prop.AddCol(ColumnRef{scan.table, tp.column});
+      e.prop.cols = ColumnBit(ColumnRef{scan.table, tp.column});
       e.prop.distinct =
           table.columns[static_cast<size_t>(tp.column)].distinct_count;
     }
     return e;
   }
 
-  std::vector<PredicateInfo> ConnectingPredicates(uint32_t sub,
-                                                  uint32_t other) const {
-    std::vector<PredicateInfo> result;
-    for (const auto& p : preds_) {
-      uint32_t lbit = 1u << p.local_left;
-      uint32_t rbit = 1u << p.local_right;
-      if (((sub & lbit) && (other & rbit)) || ((sub & rbit) && (other & lbit))) {
-        result.push_back(p);
-      }
-    }
-    return result;
-  }
-
-  /// Orient an equality so `.in_left` is on the `sub` side of the split.
-  std::vector<OrientedEquality> Orient(const PredicateInfo& p,
-                                       uint32_t sub) const {
-    const auto& join = query_.joins[static_cast<size_t>(p.index)];
-    bool left_in_sub = (sub & (1u << p.local_left)) != 0;
-    std::vector<OrientedEquality> out;
-    for (size_t i = 0; i < join.equalities.size(); ++i) {
-      const auto& eq = join.equalities[i];
-      if (left_in_sub) {
-        out.push_back({eq.left, eq.right, static_cast<int>(i)});
-      } else {
-        out.push_back({eq.right, eq.left, static_cast<int>(i)});
-      }
-    }
-    return out;
-  }
-
-  void EmitJoins(uint32_t mask, uint32_t sub, uint32_t other, int li, int ri,
-                 const std::vector<PredicateInfo>& connecting) {
-    const Entry& L = entries_[sub][static_cast<size_t>(li)];
-    const Entry& R = entries_[other][static_cast<size_t>(ri)];
+  void EmitJoins(uint32_t mask, uint32_t sub, uint32_t other, uint32_t li,
+                 uint32_t ri, const PredicateInfo& prime) {
+    // Copies: inserting into the arena may reallocate it.
+    const Entry L = arena_[li];
+    const Entry R = arena_[ri];
     const int n = hw_.num_nodes;
     const double bw = hw_.exchange_bytes_per_sec();
     const double rate = hw_.join_tuples_per_sec;
-    const int joined = std::popcount(mask);
 
     // Join cardinality: FK-style estimate per connecting predicate, most
     // selective equality dominating (composite keys carry functional
     // dependencies), scaled by the (possibly noisy) CardinalityScale hook.
     double card = L.card * R.card;
-    for (const auto& p : connecting) {
-      double scale = model_.CardinalityScale(query_, p.index, joined);
-      card *= scale / p.denominator;
-    }
+    for (double factor : split_factors_) card *= factor;
     card = std::max(card, 1.0);
     double width = L.width + R.width;
     double xwidth = L.xwidth + R.xwidth;
     double bytes_l = L.card * L.xwidth * L.ship;
     double bytes_r = R.card * R.xwidth * R.ship;
-    // The primary predicate drives alignment decisions; extra connecting
-    // predicates (cyclic join graphs) only tighten cardinality.
-    const PredicateInfo& prime = connecting.front();
-    auto oriented = Orient(prime, sub);
+    const auto& oriented = prime.oriented[(sub & prime.lbit) ? 0 : 1];
 
-    double skew_l = L.prop.partitioned() ? SkewFactor(L.prop.distinct, n) : 1.0;
-    double skew_r = R.prop.partitioned() ? SkewFactor(R.prop.distinct, n) : 1.0;
+    double skew_l = L.prop.replicated ? 1.0 : SkewFactor(L.prop.distinct, n);
+    double skew_r = R.prop.replicated ? 1.0 : SkewFactor(R.prop.distinct, n);
 
     auto emit = [&](JoinStrategy strategy, int align_eq, double net_s,
-                    double cpu_s, Prop prop) {
+                    double cpu_s, const Prop& prop) {
       Entry e;
       e.cost = L.cost + R.cost + net_s + cpu_s;
       e.card = card;
       e.width = width;
       e.xwidth = xwidth;
-      prop.Canonicalize();
-      e.prop = std::move(prop);
+      e.prop = prop;
       e.lset = sub;
       e.rset = other;
       e.lentry = li;
@@ -307,16 +316,14 @@ class PlanSearch {
       e.align_eq = align_eq;
       e.net_s = net_s;
       e.cpu_s = cpu_s;
-      Insert(mask, std::move(e));
+      Insert(mask, e);
     };
 
     // --- Replication-based locality -------------------------------------
     if (L.prop.replicated && R.prop.replicated) {
       // Both replicated: the join is computed redundantly on one node.
       double cpu = (L.card + R.card + card) / rate;
-      Prop prop;
-      prop.replicated = true;
-      emit(JoinStrategy::kCoLocated, 0, 0.0, cpu, prop);
+      emit(JoinStrategy::kCoLocated, 0, 0.0, cpu, Prop{true});
       return;  // no cheaper alternative exists
     }
     if (L.prop.replicated || R.prop.replicated) {
@@ -329,13 +336,12 @@ class PlanSearch {
 
     // --- Co-located: both sides aligned on some equality ----------------
     for (const auto& eq : oriented) {
-      if (L.prop.Contains(eq.in_left) && R.prop.Contains(eq.in_right)) {
+      if ((L.prop.cols & eq.left) && (R.prop.cols & eq.right)) {
         double skew = std::max(skew_l, skew_r);
         double cpu = (L.card + R.card + card) * skew / (n * rate);
-        Prop prop = L.prop;
-        for (const auto& c : R.prop.cols) prop.AddCol(c);
-        prop.distinct = std::max(L.prop.distinct, R.prop.distinct);
-        emit(JoinStrategy::kCoLocated, eq.equality_index, 0.0, cpu, prop);
+        Prop prop{false, L.prop.cols | R.prop.cols,
+                  std::max(L.prop.distinct, R.prop.distinct)};
+        emit(JoinStrategy::kCoLocated, eq.index, 0.0, cpu, prop);
         return;  // dominated alternatives not worth emitting
       }
     }
@@ -354,68 +360,50 @@ class PlanSearch {
 
     // --- Directed repartitioning: one side already aligned ---------------
     for (const auto& eq : oriented) {
-      int64_t key_distinct =
-          std::min(schema_.column(eq.in_left).distinct_count,
-                   schema_.column(eq.in_right).distinct_count);
-      double key_skew = SkewFactor(key_distinct, n);
-      if (R.prop.Contains(eq.in_right)) {  // move L to R
+      if (R.prop.cols & eq.right) {  // move L to R
         double net = bytes_l * (n - 1) / (static_cast<double>(n) * n * bw);
-        double cpu = (L.card + R.card + card) * std::max(key_skew, skew_r) /
+        double cpu = (L.card + R.card + card) * std::max(eq.key_skew, skew_r) /
                      (n * rate);
         Prop prop = R.prop;
-        prop.AddCol(eq.in_left);
-        prop.AddCol(eq.in_right);
-        emit(JoinStrategy::kRepartitionLeft, eq.equality_index, net, cpu, prop);
+        prop.cols |= eq.left | eq.right;
+        emit(JoinStrategy::kRepartitionLeft, eq.index, net, cpu, prop);
       }
-      if (L.prop.Contains(eq.in_left)) {  // move R to L
+      if (L.prop.cols & eq.left) {  // move R to L
         double net = bytes_r * (n - 1) / (static_cast<double>(n) * n * bw);
-        double cpu = (L.card + R.card + card) * std::max(key_skew, skew_l) /
+        double cpu = (L.card + R.card + card) * std::max(eq.key_skew, skew_l) /
                      (n * rate);
         Prop prop = L.prop;
-        prop.AddCol(eq.in_left);
-        prop.AddCol(eq.in_right);
-        emit(JoinStrategy::kRepartitionRight, eq.equality_index, net, cpu, prop);
+        prop.cols |= eq.left | eq.right;
+        emit(JoinStrategy::kRepartitionRight, eq.index, net, cpu, prop);
       }
     }
 
     // --- Symmetric repartitioning on the least-skewed equality -----------
     {
-      int best_eq = 0;
-      int64_t best_distinct = -1;
-      for (const auto& eq : oriented) {
-        int64_t d = std::min(schema_.column(eq.in_left).distinct_count,
-                             schema_.column(eq.in_right).distinct_count);
-        if (d > best_distinct) {
-          best_distinct = d;
-          best_eq = eq.equality_index;
-        }
-      }
-      const auto& eq = oriented[static_cast<size_t>(best_eq)];
-      double key_skew = SkewFactor(best_distinct, n);
+      const auto& eq = oriented[static_cast<size_t>(prime.best_eq)];
       double net = (bytes_l + bytes_r) * (n - 1) / (static_cast<double>(n) * n * bw);
-      double cpu = (L.card + R.card + card) * key_skew / (n * rate);
-      Prop prop;
-      prop.AddCol(eq.in_left);
-      prop.AddCol(eq.in_right);
-      prop.distinct = best_distinct;
-      emit(JoinStrategy::kRepartitionBoth, best_eq, net, cpu, prop);
+      double cpu = (L.card + R.card + card) * eq.key_skew / (n * rate);
+      emit(JoinStrategy::kRepartitionBoth, eq.index, net, cpu,
+           Prop{false, eq.left | eq.right, eq.key_distinct});
     }
   }
 
-  void Insert(uint32_t mask, Entry entry) {
-    auto& bucket = entries_[mask];
-    std::string sig = entry.prop.Signature();
-    for (auto& existing : bucket) {
-      if (existing.prop.Signature() == sig) {
-        if (entry.cost < existing.cost) existing = std::move(entry);
+  /// Keeps the cheaper entry per property class (replicated, column mask)
+  /// of the subset under construction, whose entries end the arena.
+  void Insert(uint32_t mask, const Entry& entry) {
+    for (uint32_t i = buckets_[mask].begin; i < Size(); ++i) {
+      Entry& existing = arena_[i];
+      if (existing.prop.replicated == entry.prop.replicated &&
+          existing.prop.cols == entry.prop.cols) {
+        if (entry.cost < existing.cost) existing = entry;
         return;
       }
     }
-    bucket.push_back(std::move(entry));
+    arena_.push_back(entry);
   }
 
-  std::unique_ptr<PlanNode> Reconstruct(uint32_t mask, int idx) const {
-    const Entry& e = entries_[mask][static_cast<size_t>(idx)];
+  std::unique_ptr<PlanNode> Reconstruct(uint32_t mask, uint32_t idx) const {
+    const Entry& e = arena_[idx];
     auto node = std::make_unique<PlanNode>();
     node->est_card = e.card;
     if (std::popcount(mask) == 1) {
@@ -431,8 +419,9 @@ class PlanSearch {
     return node;
   }
 
-  void AccumulateJoinCosts(uint32_t mask, int idx, QueryPlan* plan) const {
-    const Entry& e = entries_[mask][static_cast<size_t>(idx)];
+  /// Sums the join costs of the plan rooted at `idx` in post-order.
+  void AccumulateJoinCosts(uint32_t mask, uint32_t idx, QueryPlan* plan) const {
+    const Entry& e = arena_[idx];
     if (std::popcount(mask) == 1) return;
     AccumulateJoinCosts(e.lset, e.lentry, plan);
     AccumulateJoinCosts(e.rset, e.rentry, plan);
@@ -467,9 +456,14 @@ class PlanSearch {
   const HardwareProfile& hw_;
   const QuerySpec& query_;
   const PartitioningState& state_;
-  std::map<schema::TableId, int> local_of_;
   std::vector<PredicateInfo> preds_;
-  std::vector<std::vector<Entry>> entries_;
+  std::vector<ColumnRef> columns_;  // query-local column id -> column
+  /// JoinFactor memo, indexed by predicate * (k + 1) + joined; NaN = unset.
+  std::vector<double> factors_;
+  /// JoinFactor of every predicate connecting the current split.
+  std::vector<double> split_factors_;
+  std::vector<Bucket> buckets_;  // indexed by table-subset mask
+  std::vector<Entry> arena_;
 };
 
 void CollectStrategies(const PlanNode* node, std::vector<JoinStrategy>* out) {
@@ -547,39 +541,16 @@ double CostModel::DesignCostScale(const workload::QuerySpec&,
 
 double CostModel::QueryCost(const workload::QuerySpec& query,
                             const partition::PartitioningState& state) const {
-  return PlanQuery(query, state).total_seconds() *
+  CostModelMetrics::Get().plans.Add();
+  PlanSearch search(*this, query, state);
+  return search.Run(/*with_tree=*/false).total_seconds() *
          DesignCostScale(query, state);
 }
 
 QueryPlan CostModel::PlanQuery(const workload::QuerySpec& query,
                                const partition::PartitioningState& state) const {
   CostModelMetrics::Get().plans.Add();
-  if (query.num_tables() == 1) {
-    QueryPlan plan;
-    plan.root = std::make_unique<PlanNode>();
-    const auto& scan = query.scans.front();
-    const auto& table = schema_->table(scan.table);
-    plan.root->table = scan.table;
-    plan.root->est_card = static_cast<double>(table.row_count) * scan.selectivity;
-    double bytes = static_cast<double>(table.total_bytes());
-    const auto& tp = state.table_partition(scan.table);
-    if (tp.replicated) {
-      plan.scan_seconds = bytes * hardware_.disk_scan_factor / hardware_.scan_bytes_per_sec;
-    } else {
-      double skew = SkewFactor(
-          table.columns[static_cast<size_t>(tp.column)].distinct_count,
-          hardware_.num_nodes);
-      plan.scan_seconds = bytes * hardware_.disk_scan_factor * skew /
-                          (hardware_.num_nodes * hardware_.scan_bytes_per_sec);
-    }
-    double out_rows = plan.root->est_card * query.output_fraction;
-    plan.output_seconds =
-        out_rows * table.row_width_bytes() / hardware_.network_bytes_per_sec +
-        plan.root->est_card / (hardware_.num_nodes * hardware_.join_tuples_per_sec);
-    return plan;
-  }
-  PlanSearch search(*this, query, state);
-  return search.Run();
+  return PlanSearch(*this, query, state).Run(/*with_tree=*/true);
 }
 
 double CostModel::WorkloadCost(const workload::Workload& workload,

@@ -104,7 +104,8 @@ class CostModel {
   /// \brief Multiplicative factor applied to the estimated selectivity of
   /// join `join_index` of `query` when the joined subplan spans `num_joined`
   /// base tables. The base model is exact (returns 1); noisy subclasses
-  /// override to model optimizer estimation errors.
+  /// override to model optimizer estimation errors. The planner memoizes it
+  /// per search, so an override must be a pure function of its arguments.
   virtual double CardinalityScale(const workload::QuerySpec& query,
                                   int join_index, int num_joined) const;
 

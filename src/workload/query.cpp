@@ -27,6 +27,10 @@ double QuerySpec::SelectivityOf(schema::TableId table) const {
 
 Status QuerySpec::Validate(const schema::Schema& schema) const {
   if (scans.empty()) return Status::InvalidArgument(name + ": no tables");
+  if (num_tables() > kMaxTables) {
+    return Status::InvalidArgument(name + ": more than " +
+                                   std::to_string(kMaxTables) + " tables");
+  }
   for (const auto& scan : scans) {
     if (scan.table < 0 || scan.table >= schema.num_tables()) {
       return Status::InvalidArgument(name + ": scan of unknown table");
@@ -42,6 +46,7 @@ Status QuerySpec::Validate(const schema::Schema& schema) const {
       }
     }
   }
+  std::vector<schema::ColumnRef> join_columns;
   for (const auto& join : joins) {
     if (join.equalities.empty()) {
       return Status::InvalidArgument(name + ": empty join predicate");
@@ -63,8 +68,17 @@ Status QuerySpec::Validate(const schema::Schema& schema) const {
             ref.column >= static_cast<schema::ColumnId>(table.columns.size())) {
           return Status::InvalidArgument(name + ": unknown join column");
         }
+        if (std::find(join_columns.begin(), join_columns.end(), ref) ==
+            join_columns.end()) {
+          join_columns.push_back(ref);
+        }
       }
     }
+  }
+  if (num_tables() + static_cast<int>(join_columns.size()) > kMaxPlanColumns) {
+    return Status::InvalidArgument(
+        name + ": tables plus distinct join columns exceed " +
+        std::to_string(kMaxPlanColumns));
   }
   // Connectivity check over the join graph (single-table queries pass).
   if (scans.size() > 1) {

@@ -50,6 +50,13 @@ struct TableScan {
 /// `lpa::sql::ParseQuery` produces QuerySpecs from SQL text; the benchmark
 /// workloads construct them directly.
 struct QuerySpec {
+  /// Planner limits (costmodel::CostModel). Its DP table has one slot per
+  /// subset of the scanned tables, and it tracks a partitioning property as
+  /// a 64-bit mask over the query's columns: each table's partition column
+  /// and every join column.
+  static constexpr int kMaxTables = 16;
+  static constexpr int kMaxPlanColumns = 64;
+
   std::string name;
   std::vector<TableScan> scans;
   std::vector<JoinPredicate> joins;
@@ -75,7 +82,8 @@ struct QuerySpec {
 
   /// \brief Validate against a schema: scans reference distinct existing
   /// tables, join equalities reference scanned tables and existing columns,
-  /// and the join graph is connected.
+  /// the join graph is connected, and the query fits the planner limits
+  /// (`kMaxTables`; tables plus distinct join columns <= `kMaxPlanColumns`).
   Status Validate(const schema::Schema& schema) const;
 };
 

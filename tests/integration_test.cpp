@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "advisor/advisor.h"
+#include "advisor/advisor_handle.h"
 #include "advisor/committee.h"
 #include "baselines/heuristics.h"
 #include "baselines/optimizer_designer.h"
@@ -235,6 +236,86 @@ TEST(IntegrationTest, CommitteeNeverWorseThanReferencesOnProbes) {
     // sanity bound, not a tight one).
     EXPECT_LT(suggestion.best_cost, ref_cost * 2.0);
   }
+}
+
+// --- Planner limits at the API boundary ---------------------------------------
+
+/// Tables t0..t{n-1}, each with a key `id` and four columns c0..c3.
+schema::Schema WideSchema(int n) {
+  schema::Schema schema("wide");
+  for (int i = 0; i < n; ++i) {
+    schema::Table t;
+    t.name = "t" + std::to_string(i);
+    t.row_count = 1000;
+    t.primary_key = 0;
+    t.columns.push_back(schema::MakeColumn("id", 1000, 8, true));
+    for (int c = 0; c < 4; ++c) {
+      t.columns.push_back(schema::MakeColumn("c" + std::to_string(c), 100, 8, true));
+    }
+    schema.AddTable(std::move(t));
+  }
+  return schema;
+}
+
+/// Chain join over t0..t{n-1}: t{i} joins t{i+1} on c0..c{eqs-1}, so every
+/// table contributes `eqs` distinct join columns.
+workload::QuerySpec ChainQuery(int n, int eqs) {
+  workload::QuerySpec q;
+  q.name = "chain" + std::to_string(n) + "x" + std::to_string(eqs);
+  for (int i = 0; i < n; ++i) q.scans.push_back(workload::TableScan{i, 1.0});
+  for (int i = 0; i + 1 < n; ++i) {
+    workload::JoinPredicate join;
+    for (int c = 1; c <= eqs; ++c) {
+      join.equalities.push_back(workload::JoinEquality{{i, c}, {i + 1, c}});
+    }
+    q.joins.push_back(std::move(join));
+  }
+  return q;
+}
+
+TEST(PlannerLimitsTest, ValidateRejectsQueriesBeyondThePlannerMasks) {
+  schema::Schema schema = WideSchema(17);
+  EXPECT_EQ(ChainQuery(17, 1).Validate(schema).code(),
+            Status::Code::kInvalidArgument);
+  // 16 tables with 4 join columns each: 16 + 64 > 64 column ids.
+  EXPECT_EQ(ChainQuery(16, 4).Validate(schema).code(),
+            Status::Code::kInvalidArgument);
+  // 16 + 48 fills the column mask exactly, and the planner accepts it.
+  workload::Workload wl({ChainQuery(16, 3)});
+  ASSERT_TRUE(wl.Validate(schema).ok());
+  auto edges = partition::EdgeSet::Extract(schema, wl);
+  costmodel::CostModel model(&schema, HardwareProfile::InMemory10G());
+  double cost =
+      model.QueryCost(wl.query(0), PartitioningState::Initial(&schema, &edges));
+  EXPECT_TRUE(std::isfinite(cost));
+  EXPECT_GT(cost, 0.0);
+}
+
+TEST(PlannerLimitsTest, OversizedQueryIsRejectedAndTheHandleKeepsServing) {
+  schema::Schema schema = WideSchema(17);
+  std::string sql = "SELECT * FROM t0";
+  for (int i = 1; i < 17; ++i) sql += ", t" + std::to_string(i);
+  for (int i = 0; i + 1 < 17; ++i) {
+    sql += (i == 0 ? " WHERE " : " AND ");
+    sql += "t" + std::to_string(i) + ".c0 = t" + std::to_string(i + 1) + ".c0";
+  }
+  auto parsed = sql::ParseQuery(sql, schema, "wide");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), Status::Code::kInvalidArgument);
+
+  costmodel::CostModel model(&schema, HardwareProfile::InMemory10G());
+  advisor::AdvisorConfig config;
+  config.seed = 3;
+  AdvisorHandle handle(&schema, workload::Workload({ChainQuery(3, 1)}), config);
+  ASSERT_TRUE(handle.BindCostModel(&model).ok());
+  auto added = handle.AddQueries({ChainQuery(17, 1)});
+  ASSERT_FALSE(added.ok());
+  EXPECT_EQ(added.status().code(), Status::Code::kInvalidArgument);
+  SuggestRequest request;
+  request.frequencies = {1.0};
+  auto suggestion = handle.Suggest(request);
+  ASSERT_TRUE(suggestion.ok()) << suggestion.status().ToString();
+  EXPECT_TRUE(std::isfinite(suggestion->best_cost));
 }
 
 }  // namespace

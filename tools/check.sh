@@ -4,7 +4,7 @@
 #
 #   $ tools/check.sh                 # ASan+UBSan (default)
 #   $ tools/check.sh tsan            # ThreadSanitizer on the threaded tests
-#   $ tools/check.sh perf            # Release micro-bench: incremental costing
+#   $ tools/check.sh perf            # Release micro-bench: planner + incremental costing
 #   $ tools/check.sh serve           # TSan serving tests + loadgen smoke
 #   $ tools/check.sh fleet           # TSan fleet tests + 100-tenant smoke
 #   $ tools/check.sh autopilot       # TSan autopilot tests + bench smoke
@@ -60,10 +60,7 @@
 # quantized_test under TSan, runs them, then drives the training kernel of
 # bench_micro_components, which re-asserts bit-identical reward and weight
 # digests at 1/2/8 threads and writes BENCH_training.json to $LPA_METRICS_DIR
-# (or build-tsan). Standing waiver: on few-core hosts (this container pins 1
-# CPU) the >= 3x steps/sec speedup at 8 threads cannot manifest, so the
-# preset asserts digest equality instead and the bench records the waiver in
-# BENCH_training.json metadata as scaling_waiver.
+# (or build-tsan).
 #
 # The search preset builds the design-search subsystem (src/search/) under
 # ASan+UBSan and runs search_test (DP (1+ε) certificate vs exhaustive
@@ -71,15 +68,15 @@
 # threads) plus parallel_eval_test, then drives the bench_exp1_offline
 # verification sections (--baseline dp): the micro exhaustive gate and the
 # pruned-vs-unpruned Suggest counter checks, exiting non-zero on violation.
-# Same 1-CPU waiver as the other presets: wall-clock columns are
-# informational, the gates assert digests and counters only.
+# The gates assert digests and counters; wall-clock columns are informational.
 #
-# The perf preset builds Release into build-perf and runs the post-benchmark
-# kernels of bench_micro_components (google benchmarks filtered out): the
-# workload-cost kernel (full recompute vs incremental delta costing) and the
-# engine kernel (pool-parallel ExecuteWorkload at 1/2/8 threads with
-# bit-identity digest checks). BENCH_micro_components.json and
-# BENCH_engine.json land in $LPA_METRICS_DIR (or build-perf).
+# The perf preset builds Release into build-perf and runs bench_micro_components
+# with only the cost-model planner google benchmarks (BM_CostModelPlan*),
+# followed by its post-benchmark kernels: the workload-cost kernel (full
+# recompute vs incremental delta costing) and the engine kernel
+# (pool-parallel ExecuteWorkload at 1/2/8 threads with bit-identity digest
+# checks). BENCH_micro_components.json and BENCH_engine.json land in
+# $LPA_METRICS_DIR (or build-perf).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -92,9 +89,9 @@ if [[ "${PRESET}" == "perf" ]]; then
   cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
   echo "== build bench_micro_components =="
   cmake --build "${BUILD_DIR}" -j "${JOBS}" --target bench_micro_components
-  echo "== perf kernels: workload-cost (full vs incremental) + engine (pool-parallel) =="
+  echo "== planner benchmarks + perf kernels: workload-cost (full vs incremental) + engine (pool-parallel) =="
   LPA_METRICS_DIR="${LPA_METRICS_DIR:-${BUILD_DIR}}" \
-    "${BUILD_DIR}/bench/bench_micro_components" --benchmark_filter='^$'
+    "${BUILD_DIR}/bench/bench_micro_components" --benchmark_filter=CostModelPlan
   echo "== OK: matching digests above = bit-identical results; see BENCH_engine.json =="
   exit 0
 fi
@@ -198,7 +195,6 @@ if [[ "${PRESET}" == "train" ]]; then
   LPA_BENCH_SCALE="${LPA_BENCH_SCALE:-4}" \
     "${BUILD_DIR}/bench/bench_micro_components" --benchmark_filter='^$'
   echo "== OK: actor/learner TSan-clean, deterministic digests bit-identical =="
-  echo "   (scaling_waiver: 1-CPU container; speedup asserted on multi-core hosts only)"
   exit 0
 fi
 if [[ "${PRESET}" == "search" ]]; then
@@ -222,7 +218,6 @@ if [[ "${PRESET}" == "search" ]]; then
   LPA_BENCH_SCALE="${LPA_BENCH_SCALE:-4}" \
     "${BUILD_DIR}/bench/bench_exp1_offline" --baseline dp --epsilon 0.1
   echo "== OK: DP within (1+eps) of exhaustive, pruned Suggest bit-identical at 1/2/8 threads =="
-  echo "   (scaling_waiver: 1-CPU container; wall-clock informational, digests asserted)"
   exit 0
 fi
 if [[ "${PRESET}" == "tsan" ]]; then
