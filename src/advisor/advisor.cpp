@@ -118,68 +118,58 @@ rl::InferenceResult PartitioningAdvisor::Suggest(
 rl::InferenceResult PartitioningAdvisor::Suggest(
     const std::vector<double>& frequencies, rl::PartitioningEnv* env,
     EvalContext* ctx) {
-  telemetry::Span span("advisor.suggest");
-  AdvisorMetrics::Get().suggestions.Add();
-  if (config_.inference_extra_rollouts <= 0) {
-    return trainer_->Infer(*agent_, env, frequencies, ResolveCtx(ctx));
-  }
-  return trainer_->InferBest(*agent_, env, frequencies,
-                             config_.inference_extra_rollouts,
-                             config_.inference_epsilon, ResolveCtx(ctx));
+  return Infer(frequencies, env, inference_options(), ctx);
 }
 
 rl::InferenceResult PartitioningAdvisor::Suggest(
     const std::vector<double>& frequencies, const SuggestOptions& options,
     EvalContext* ctx) {
   LPA_CHECK(offline_env_ != nullptr);  // inference reuses the simulation
-  if (!options.prune_rollouts) {
-    return Suggest(frequencies, offline_env_.get(), ctx);
+  rl::InferenceOptions inference = inference_options();
+  if (options.prune_rollouts) {
+    LPA_CHECK(options.prune_epsilon >= 0.0);
+    if (pruner_ == nullptr || pruner_epsilon_ != options.prune_epsilon) {
+      search::ActionPrunerConfig pc;
+      pc.prune_epsilon = options.prune_epsilon;
+      rl::OfflineEnv* env = offline_env_.get();
+      pruner_ = std::make_unique<search::ActionPruner>(
+          schema_, &workload_, &edges_,
+          [env](int j, const partition::PartitioningState& s) {
+            return env->QueryCost(j, s, 1.0);
+          },
+          pc);
+      pruner_epsilon_ = options.prune_epsilon;
+    }
+    inference.pruner = pruner_.get();
   }
-  telemetry::Span span("advisor.suggest");
-  AdvisorMetrics::Get().suggestions.Add();
-  LPA_CHECK(options.prune_epsilon >= 0.0);
-  if (pruner_ == nullptr || pruner_epsilon_ != options.prune_epsilon) {
-    search::ActionPrunerConfig pc;
-    pc.prune_epsilon = options.prune_epsilon;
-    rl::OfflineEnv* env = offline_env_.get();
-    pruner_ = std::make_unique<search::ActionPruner>(
-        schema_, &workload_, &edges_,
-        [env](int j, const partition::PartitioningState& s) {
-          return env->QueryCost(j, s, 1.0);
-        },
-        pc);
-    pruner_epsilon_ = options.prune_epsilon;
-  }
-  return trainer_->InferBestPruned(
-      *agent_, offline_env_.get(), frequencies,
-      config_.inference_extra_rollouts, config_.inference_epsilon, *pruner_,
-      ResolveCtx(ctx));
+  return Infer(frequencies, offline_env_.get(), inference, ctx);
 }
 
 rl::InferenceResult PartitioningAdvisor::SuggestWithTransitionCost(
     const std::vector<double>& frequencies,
     const partition::PartitioningState& current_design, double weight,
     const costmodel::CostModel* model, EvalContext* ctx) {
+  LPA_CHECK(offline_env_ != nullptr);
+  rl::InferenceOptions inference = inference_options();
+  inference.deployed = &current_design;
+  inference.transition_weight = weight;
+  inference.transition_model = model;
+  return Infer(frequencies, offline_env_.get(), inference, ctx);
+}
+
+rl::InferenceOptions PartitioningAdvisor::inference_options() const {
+  rl::InferenceOptions options;
+  options.extra_rollouts = config_.inference_extra_rollouts;
+  options.epsilon = config_.inference_epsilon;
+  return options;
+}
+
+rl::InferenceResult PartitioningAdvisor::Infer(
+    const std::vector<double>& frequencies, rl::PartitioningEnv* env,
+    const rl::InferenceOptions& options, EvalContext* ctx) {
   telemetry::Span span("advisor.suggest");
   AdvisorMetrics::Get().suggestions.Add();
-  LPA_CHECK(offline_env_ != nullptr);
-  // Each rollout gets its own tracker-backed workload term (delta-costed
-  // along the rollout's state sequence) plus the repartitioning penalty.
-  auto workload_factory =
-      rl::MakeEnvObjective(offline_env_.get(), &frequencies, nullptr);
-  rl::EpisodeTrainer::ObjectiveFactory factory =
-      [&workload_factory, &current_design, weight,
-       model]() -> rl::EpisodeTrainer::StateObjective {
-    auto workload_term = workload_factory();
-    return [workload_term, &current_design, weight,
-            model](const partition::PartitioningState& s) {
-      return workload_term(s) +
-             weight * model->RepartitioningCost(current_design, s);
-    };
-  };
-  return trainer_->InferObjective(*agent_, frequencies, factory,
-                                  config_.inference_extra_rollouts,
-                                  config_.inference_epsilon, ResolveCtx(ctx));
+  return trainer_->Infer(*agent_, env, frequencies, options, ResolveCtx(ctx));
 }
 
 std::vector<int> PartitioningAdvisor::AddQueries(

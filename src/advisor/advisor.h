@@ -35,9 +35,9 @@ struct SuggestOptions {
   /// whose admissible lower bound clears the incumbent are never priced,
   /// extra rollouts replay the shared greedy prefix without Q-network
   /// forward passes, and rollout tails that provably cannot improve the
-  /// incumbent are cut. Default OFF — the unpruned path stays bit-for-bit
-  /// untouched. Only engaged against the offline simulation (environments
-  /// with the pure query-cost contract); otherwise silently unpruned.
+  /// incumbent are cut. Default OFF. Only engaged against the offline
+  /// simulation (environments with the pure query-cost contract);
+  /// otherwise silently unpruned.
   bool prune_rollouts = false;
   /// Pruning slack ε ≥ 0. At 0 the pruned suggestion (design, cost, and
   /// greedy trajectory) is bit-identical to the unpruned one at every
@@ -162,11 +162,20 @@ class PartitioningAdvisor {
   /// \brief The offline-simulation environment (valid after TrainOffline).
   rl::OfflineEnv* offline_env() { return offline_env_.get(); }
 
+  /// \brief The inference settings every Suggest starts from: the
+  /// configured extra rollouts and their ε.
+  rl::InferenceOptions inference_options() const;
+
   /// \brief The ε value the offline schedule reaches after `episodes`.
   double EpsilonAfter(int episodes) const;
 
  private:
   rl::FrequencySampler DefaultSampler() const;
+  /// The body of every Suggest overload: one `EpisodeTrainer::Infer` call.
+  rl::InferenceResult Infer(const std::vector<double>& frequencies,
+                            rl::PartitioningEnv* env,
+                            const rl::InferenceOptions& options,
+                            EvalContext* ctx);
   /// Resolves a caller-supplied context, falling back to own_ctx_.
   EvalContext* ResolveCtx(EvalContext* ctx) {
     return ctx != nullptr ? ctx : &own_ctx_;

@@ -137,12 +137,8 @@ Result<rl::TrainingResult> AdvisorHandle::Train(const TrainSpec& spec,
 
 Result<rl::InferenceResult> AdvisorHandle::Suggest(
     const SuggestRequest& request, EvalContext* ctx) {
-  const int m = advisor_->workload().num_queries();
-  if (static_cast<int>(request.frequencies.size()) != m) {
-    return Status::InvalidArgument(
-        "frequency vector has " + std::to_string(request.frequencies.size()) +
-        " entries; workload has " + std::to_string(m) + " queries");
-  }
+  LPA_RETURN_NOT_OK(
+      advisor_->workload().CheckFrequencies(request.frequencies));
   if (request.transition_cost_weight < 0.0) {
     return Status::InvalidArgument("transition_cost_weight must be >= 0");
   }
@@ -198,28 +194,15 @@ Result<rl::InferenceResult> AdvisorHandle::Suggest(
                                                request.transition_cost_weight,
                                                model, ctx);
   }
-  // Bound-environment variant: mirror SuggestWithTransitionCost against the
-  // handle's own pricing environment (the advisor's shim insists on its
-  // offline simulation).
-  auto workload_factory =
-      rl::MakeEnvObjective(env, &request.frequencies, nullptr);
-  const partition::PartitioningState* deployed = request.deployed;
-  const double weight = request.transition_cost_weight;
-  rl::EpisodeTrainer::ObjectiveFactory factory =
-      [&workload_factory, deployed, weight,
-       model]() -> rl::EpisodeTrainer::StateObjective {
-    auto workload_term = workload_factory();
-    return [workload_term, deployed, weight,
-            model](const partition::PartitioningState& s) {
-      return workload_term(s) +
-             weight * model->RepartitioningCost(*deployed, s);
-    };
-  };
-  const AdvisorConfig& config = advisor_->config();
-  return advisor_->trainer().InferObjective(
-      *advisor_->agent(), request.frequencies, factory,
-      config.inference_extra_rollouts, config.inference_epsilon,
-      ctx != nullptr ? ctx : FallbackCtx());
+  // A bound or caller-supplied environment: the same inference against it
+  // (the advisor's own Suggest insists on its offline simulation).
+  rl::InferenceOptions options = advisor_->inference_options();
+  options.deployed = request.deployed;
+  options.transition_weight = request.transition_cost_weight;
+  options.transition_model = model;
+  return advisor_->trainer().Infer(*advisor_->agent(), env,
+                                   request.frequencies, options,
+                                   ctx != nullptr ? ctx : FallbackCtx());
 }
 
 Result<std::vector<int>> AdvisorHandle::AddQueries(

@@ -74,7 +74,8 @@ struct TrainSpec {
 
 /// \brief One inference request for `AdvisorHandle::Suggest`.
 struct SuggestRequest {
-  /// Workload mix; must have exactly `workload().num_queries()` entries.
+  /// Workload mix; must have exactly `workload().num_queries()` entries,
+  /// each finite and >= 0 (`Workload::CheckFrequencies`).
   std::vector<double> frequencies;
   /// Environment that prices candidate states; null uses the handle's
   /// default (the offline simulation / bound pricing environment).
@@ -109,7 +110,7 @@ struct SuggestRequest {
 ///   other.Restore(*snapshot);                   // rebuild elsewhere
 ///
 /// Misuse — suggesting before any environment exists, offline training
-/// without a cost model, frequency vectors of the wrong width, restoring a
+/// without a cost model, malformed frequency vectors, restoring a
 /// garbage snapshot — returns a descriptive `lpa::Status` instead of
 /// aborting. The handle owns its advisor; it is movable but not copyable.
 class AdvisorHandle {

@@ -117,14 +117,9 @@ rl::InferenceResult SubspaceCommittee::Suggest(
     EvalContext* ctx) const {
   if (ctx == nullptr) ctx = &own_ctx_;
   int k = AssignSubspace(frequencies, env);
-  const auto& config = naive_->config();
-  if (config.inference_extra_rollouts <= 0) {
-    return naive_->trainer().Infer(*experts_[static_cast<size_t>(k)], env,
-                                   frequencies, ctx);
-  }
-  return naive_->trainer().InferBest(
-      *experts_[static_cast<size_t>(k)], env, frequencies,
-      config.inference_extra_rollouts, config.inference_epsilon, ctx);
+  return naive_->trainer().Infer(*experts_[static_cast<size_t>(k)], env,
+                                 frequencies, naive_->inference_options(),
+                                 ctx);
 }
 
 int SubspaceCommittee::UpdateForNewQueries(rl::PartitioningEnv* env,

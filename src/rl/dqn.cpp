@@ -26,48 +26,62 @@ struct DqnMetrics {
 
 }  // namespace
 
-std::vector<double> DqnPolicy::QValues(const std::vector<double>& state_enc,
-                                       const std::vector<int>& legal) const {
-  std::vector<double> q(legal.size());
-  if (mode_ == QNetworkMode::kMultiHead) {
-    auto all = q_.Forward(state_enc);
+namespace {
+
+/// Q-values of `legal` at `state_enc` under network `q`; `action_enc` holds
+/// the action encodings in state-action mode and is null in multi-head mode.
+/// DqnAgent and its frozen DqnPolicy copies both select through here.
+std::vector<double> LegalQValues(const nn::Mlp& q,
+                                 const nn::Matrix* action_enc,
+                                 const std::vector<double>& state_enc,
+                                 const std::vector<int>& legal) {
+  std::vector<double> values(legal.size());
+  if (action_enc == nullptr) {
+    auto all = q.Forward(state_enc);
     for (size_t i = 0; i < legal.size(); ++i) {
-      q[i] = all[static_cast<size_t>(legal[i])];
+      values[i] = all[static_cast<size_t>(legal[i])];
     }
-  } else {
-    const size_t input_dim = static_cast<size_t>(q_.input_dim());
-    nn::Matrix batch(legal.size(), input_dim);
-    for (size_t i = 0; i < legal.size(); ++i) {
-      double* dst = batch.row(i);
-      std::copy(state_enc.begin(), state_enc.end(), dst);
-      const double* a = action_enc_->row(static_cast<size_t>(legal[i]));
-      std::copy(a, a + action_enc_->cols(), dst + state_dim_);
-    }
-    nn::Matrix out = q_.Forward(batch);
-    for (size_t i = 0; i < legal.size(); ++i) q[i] = out.at(i, 0);
+    return values;
   }
-  return q;
+  nn::Matrix batch(legal.size(), state_enc.size() + action_enc->cols());
+  for (size_t i = 0; i < legal.size(); ++i) {
+    double* dst = batch.row(i);
+    std::copy(state_enc.begin(), state_enc.end(), dst);
+    const double* a = action_enc->row(static_cast<size_t>(legal[i]));
+    std::copy(a, a + action_enc->cols(), dst + state_enc.size());
+  }
+  nn::Matrix out = q.Forward(batch);
+  for (size_t i = 0; i < legal.size(); ++i) values[i] = out.at(i, 0);
+  return values;
 }
 
-int DqnPolicy::SelectAction(const std::vector<double>& state_enc,
-                            const std::vector<int>& legal, double epsilon,
-                            Rng* rng) const {
+int GreedyLegalAction(const nn::Mlp& q, const nn::Matrix* action_enc,
+                      const std::vector<double>& state_enc,
+                      const std::vector<int>& legal) {
+  std::vector<double> values = LegalQValues(q, action_enc, state_enc, legal);
+  return FirstMaxLegal(legal, [&values](size_t i) { return values[i]; });
+}
+
+/// ε-greedy choice: draws rng->Uniform() first, then UniformInt only when
+/// exploring.
+int EpsilonGreedyAction(const nn::Mlp& q, const nn::Matrix* action_enc,
+                        const std::vector<double>& state_enc,
+                        const std::vector<int>& legal, double epsilon,
+                        Rng* rng) {
   LPA_CHECK(!legal.empty());
   if (rng->Uniform() < epsilon) {
     return legal[static_cast<size_t>(
         rng->UniformInt(0, static_cast<int64_t>(legal.size()) - 1))];
   }
-  return GreedyAction(state_enc, legal);
+  return GreedyLegalAction(q, action_enc, state_enc, legal);
 }
 
-int DqnPolicy::GreedyAction(const std::vector<double>& state_enc,
-                            const std::vector<int>& legal) const {
-  auto q = QValues(state_enc, legal);
-  size_t best = 0;
-  for (size_t i = 1; i < q.size(); ++i) {
-    if (q[i] > q[best]) best = i;
-  }
-  return legal[best];
+}  // namespace
+
+int DqnPolicy::SelectAction(const std::vector<double>& state_enc,
+                            const std::vector<int>& legal, double epsilon,
+                            Rng* rng) const {
+  return EpsilonGreedyAction(q_, action_enc_, state_enc, legal, epsilon, rng);
 }
 
 DqnAgent::DqnAgent(const partition::Featurizer* featurizer,
@@ -112,23 +126,14 @@ void DqnAgent::FillStateAction(const std::vector<double>& state_enc,
   std::copy(a, a + action_enc_.cols(), dst + state_enc.size());
 }
 
+const nn::Matrix* DqnAgent::ActionEncodings() const {
+  return config_.mode == QNetworkMode::kStateActionInput ? &action_enc_
+                                                         : nullptr;
+}
+
 std::vector<double> DqnAgent::QValues(const std::vector<double>& state_enc,
                                       const std::vector<int>& legal) const {
-  std::vector<double> q(legal.size());
-  if (config_.mode == QNetworkMode::kMultiHead) {
-    auto all = q_->Forward(state_enc);
-    for (size_t i = 0; i < legal.size(); ++i) {
-      q[i] = all[static_cast<size_t>(legal[i])];
-    }
-  } else {
-    nn::Matrix batch(legal.size(), static_cast<size_t>(InputDim()));
-    for (size_t i = 0; i < legal.size(); ++i) {
-      FillStateAction(state_enc, legal[i], batch.row(i));
-    }
-    nn::Matrix out = q_->Forward(batch);
-    for (size_t i = 0; i < legal.size(); ++i) q[i] = out.at(i, 0);
-  }
-  return q;
+  return LegalQValues(*q_, ActionEncodings(), state_enc, legal);
 }
 
 nn::Matrix DqnAgent::QValuesBatch(const nn::Matrix& state_encs) const {
@@ -160,30 +165,17 @@ nn::Matrix DqnAgent::QValuesBatch(const nn::Matrix& state_encs) const {
 
 int DqnAgent::SelectAction(const std::vector<double>& state_enc,
                            const std::vector<int>& legal, Rng* rng) const {
-  LPA_CHECK(!legal.empty());
-  if (rng->Uniform() < epsilon_) {
-    return legal[static_cast<size_t>(
-        rng->UniformInt(0, static_cast<int64_t>(legal.size()) - 1))];
-  }
-  return GreedyAction(state_enc, legal);
+  return EpsilonGreedyAction(*q_, ActionEncodings(), state_enc, legal,
+                             epsilon_, rng);
 }
 
 int DqnAgent::GreedyAction(const std::vector<double>& state_enc,
                            const std::vector<int>& legal) const {
-  auto q = QValues(state_enc, legal);
-  size_t best = 0;
-  for (size_t i = 1; i < q.size(); ++i) {
-    if (q[i] > q[best]) best = i;
-  }
-  return legal[best];
+  return GreedyLegalAction(*q_, ActionEncodings(), state_enc, legal);
 }
 
 DqnPolicy DqnAgent::SnapshotPolicy() const {
-  return DqnPolicy(*q_, config_.mode,
-                   config_.mode == QNetworkMode::kStateActionInput
-                       ? &action_enc_
-                       : nullptr,
-                   featurizer_->state_dim());
+  return DqnPolicy(*q_, ActionEncodings());
 }
 
 void DqnAgent::DecayEpsilon() {

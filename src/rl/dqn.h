@@ -54,6 +54,18 @@ struct DqnConfig {
   }
 };
 
+/// \brief The greedy selection every Q-source shares: the entry of `legal`
+/// with the largest Q-value, ties going to the earliest entry (first max).
+/// `q(i)` returns the Q-value of `legal[i]`.
+template <typename QOf>
+int FirstMaxLegal(const std::vector<int>& legal, QOf q) {
+  size_t best = 0;
+  for (size_t i = 1; i < legal.size(); ++i) {
+    if (q(i) > q(best)) best = i;
+  }
+  return legal[best];
+}
+
 // Transition and ReplayBuffer historically lived here; they moved to
 // rl/replay.h with the sharded actor/learner replay and are re-exported by
 // the include above.
@@ -63,38 +75,25 @@ struct DqnConfig {
 /// Episode actors act against a DqnPolicy instead of the live agent: the
 /// snapshot is taken once (per round in deterministic mode, per publish
 /// interval in fast mode), so the learner can keep writing weights without
-/// ever racing an actor's forward pass. Selection semantics — ε ordering,
-/// first-max tie-break — replicate DqnAgent bit for bit.
+/// ever racing an actor's forward pass. Selection runs the same code as
+/// DqnAgent's — ε ordering, first-max tie-break — so it matches bit for bit.
 class DqnPolicy {
  public:
-  /// \brief Q-values of the given legal actions at an encoded state.
-  std::vector<double> QValues(const std::vector<double>& state_enc,
-                              const std::vector<int>& legal) const;
-
   /// \brief ε-greedy choice among `legal`; draws rng->Uniform() first (the
   /// exact draw order of DqnAgent::SelectAction).
   int SelectAction(const std::vector<double>& state_enc,
                    const std::vector<int>& legal, double epsilon,
                    Rng* rng) const;
 
-  int GreedyAction(const std::vector<double>& state_enc,
-                   const std::vector<int>& legal) const;
-
  private:
   friend class DqnAgent;
-  DqnPolicy(nn::Mlp q, QNetworkMode mode, const nn::Matrix* action_enc,
-            int state_dim)
-      : q_(std::move(q)),
-        mode_(mode),
-        action_enc_(action_enc),
-        state_dim_(state_dim) {}
+  DqnPolicy(nn::Mlp q, const nn::Matrix* action_enc)
+      : q_(std::move(q)), action_enc_(action_enc) {}
 
   nn::Mlp q_;
-  QNetworkMode mode_;
   /// Borrowed from the owning agent; the action space is static, so the
   /// matrix never changes after agent construction. Null in multi-head mode.
   const nn::Matrix* action_enc_;
-  int state_dim_;
 };
 
 /// \brief Deep-Q agent over the partitioning action space (Sec 3).
@@ -190,6 +189,8 @@ class DqnAgent {
 
  private:
   int InputDim() const;
+  /// The action-encoding matrix in state-action mode; null in multi-head.
+  const nn::Matrix* ActionEncodings() const;
   /// Write the concatenated (state, action) encoding for state-action mode
   /// into `dst` (one batch-matrix row of InputDim() doubles). The action
   /// half copies straight out of the precomputed `action_enc_` row — the

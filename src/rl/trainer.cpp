@@ -4,6 +4,7 @@
 #include <limits>
 #include <memory>
 
+#include "costmodel/cost_model.h"
 #include "costmodel/workload_cost_tracker.h"
 #include "rl/trainer_metrics.h"
 #include "search/action_pruner.h"
@@ -41,11 +42,7 @@ TrainerMetrics& TrainerMetrics::Get() {
 
 }  // namespace internal
 
-namespace {
-
 using internal::TrainerMetrics;
-
-}  // namespace
 
 EpisodeTrainer::EpisodeTrainer(const schema::Schema* schema,
                                const partition::EdgeSet* edges,
@@ -158,94 +155,80 @@ TrainingResult EpisodeTrainer::Train(DqnAgent* agent, PartitioningEnv* env,
 
 namespace {
 
-/// One rollout with exploration probability `epsilon` (0 = greedy),
-/// accumulating the objective-best state into `result`.
-void Rollout(const DqnAgent& agent,
-             const EpisodeTrainer::StateObjective& objective,
-             const std::vector<double>& frequencies,
-             const partition::Featurizer& featurizer,
-             const partition::ActionSpace& actions, double epsilon, Rng* rng,
-             bool record_actions, InferenceResult* result,
-             partition::PartitioningState state) {
-  TrainerMetrics::Get().inference_rollouts.Add();
-  const int tmax = agent.config().tmax;
-  for (int t = 0; t < tmax; ++t) {
-    std::vector<double> enc = featurizer.EncodeState(state, frequencies);
-    std::vector<int> legal = actions.LegalActions(state);
-    int action;
-    if (epsilon > 0.0 && rng != nullptr && rng->Uniform() < epsilon) {
-      action = legal[static_cast<size_t>(
-          rng->UniformInt(0, static_cast<int64_t>(legal.size()) - 1))];
-    } else {
-      action = agent.GreedyAction(enc, legal);
-      TrainerMetrics::Get().q_evals.Add();
-    }
-    LPA_CHECK(actions.Apply(action, &state).ok());
-    if (record_actions) result->actions.push_back(action);
-    double cost = objective(state);
-    if (cost < result->best_cost) {
-      result->best_cost = cost;
-      result->best_state = state;
-    }
-  }
-}
+using partition::PartitioningState;
+using PriceResult = search::ActionPruner::Session::PriceResult;
 
-/// Runs `extra_rollouts` ε-randomized rollouts and folds the best state into
-/// `result`. Each rollout draws from its own sub-RNG forked from `ctx` by a
-/// single master draw, prices states with its own objective instance from
-/// `factory`, keeps a local best, and the locals are merged into `result` in
-/// rollout-index order with a strict `<` — so the outcome is identical
-/// whether the rollouts ran serially or on the pool.
-void ExtraRollouts(const DqnAgent& agent,
-                   const EpisodeTrainer::ObjectiveFactory& factory,
-                   const std::vector<double>& frequencies,
-                   const partition::Featurizer& featurizer,
-                   const partition::ActionSpace& actions,
-                   const partition::PartitioningState& s0, int extra_rollouts,
-                   double epsilon, EvalContext* ctx, bool parallel_ok,
-                   InferenceResult* result) {
-  if (extra_rollouts <= 0) return;
-  if (ctx == nullptr) {
-    // No context: legacy serial greedy extras (no exploration randomness).
-    for (int i = 0; i < extra_rollouts; ++i) {
-      EpisodeTrainer::StateObjective objective = factory();
-      Rollout(agent, objective, frequencies, featurizer, actions, epsilon,
-              nullptr, /*record_actions=*/false, result, s0);
-    }
-    return;
-  }
-  std::vector<Rng> rngs = ctx->ForkRngs(static_cast<size_t>(extra_rollouts));
-  // Materialize the per-rollout objectives on this thread: tracker-backed
-  // objectives allocate, and construction order must not depend on pool
-  // scheduling.
-  std::vector<EpisodeTrainer::StateObjective> objectives;
-  objectives.reserve(static_cast<size_t>(extra_rollouts));
-  for (int i = 0; i < extra_rollouts; ++i) objectives.push_back(factory());
-  std::vector<InferenceResult> locals(
-      static_cast<size_t>(extra_rollouts),
-      InferenceResult{s0, std::numeric_limits<double>::infinity(), {}});
-  auto run_one = [&](size_t i) {
-    Rollout(agent, objectives[i], frequencies, featurizer, actions, epsilon,
-            &rngs[i], /*record_actions=*/false, &locals[i], s0);
-  };
-  if (parallel_ok && ctx->pool() != nullptr) {
-    ctx->pool()->ParallelForEach(static_cast<size_t>(extra_rollouts), 1,
-                                 run_one);
-  } else {
-    for (size_t i = 0; i < static_cast<size_t>(extra_rollouts); ++i) {
-      run_one(i);
+/// Prices the states one rollout visits: the environment's workload cost —
+/// delta-costed through a WorkloadCostTracker when the environment supports
+/// incremental costing — plus the optional transition term; or, with a
+/// pruner, an ActionPruner session that leaves a state unpriced when its
+/// admissible bound cannot beat the threshold. One per rollout.
+class RolloutPricer {
+ public:
+  /// `ctx` (nullable) lets the pricings fan out over its pool.
+  RolloutPricer(PartitioningEnv* env, const std::vector<double>* frequencies,
+                const InferenceOptions* options,
+                const search::ActionPruner* pruner, EvalContext* ctx)
+      : env_(env), frequencies_(frequencies), options_(options), ctx_(ctx) {
+    if (pruner != nullptr) {
+      session_ = pruner->NewSession();
+      slack_ = 1.0 + pruner->prune_epsilon();
+    } else if (env->SupportsIncrementalCost()) {
+      tracker_ = std::make_unique<costmodel::WorkloadCostTracker>(
+          &env->workload(), [env](int j, const PartitioningState& s) {
+            return env->QueryCost(j, s, 1.0);
+          });
+      if (!env->SupportsParallelEval()) ctx_ = nullptr;
     }
   }
-  for (const InferenceResult& local : locals) {
-    if (local.best_cost < result->best_cost) {
-      result->best_cost = local.best_cost;
-      result->best_state = local.best_state;
-    }
-  }
-}
 
-/// One step of the greedy pruned rollout, cached so the extra rollouts can
-/// replay the shared greedy prefix without re-deriving it from the Q-network.
+  /// Cost of `state`, whose design differs from the previously priced or
+  /// deferred state's only on `affected`. Inexact (a lower bound) only when
+  /// the pruner proved the state cannot beat `threshold`, so an infinite
+  /// threshold always prices exactly.
+  PriceResult Price(const PartitioningState& state,
+                    const std::vector<schema::TableId>& affected,
+                    double threshold) {
+    if (session_ != nullptr) {
+      return session_->PriceOrPrune(state, affected, *frequencies_, threshold);
+    }
+    double cost = tracker_ != nullptr
+                      ? tracker_->Evaluate(state, *frequencies_, ctx_)
+                      : env_->WorkloadCost(state, *frequencies_, ctx_);
+    if (options_->deployed != nullptr) {
+      cost += options_->transition_weight *
+              options_->transition_model->RepartitioningCost(
+                  *options_->deployed, state);
+    }
+    return PriceResult{cost, true};
+  }
+
+  /// A replayed step whose cost is already known: its drift is folded into
+  /// the next pricing.
+  void Defer(const std::vector<schema::TableId>& affected) {
+    session_->Defer(affected);
+  }
+
+  /// True when a pruner proves that no state within `horizon` more steps of
+  /// the last priced one can go below `incumbent`.
+  bool CannotImprove(int horizon, double incumbent) const {
+    return session_ != nullptr && horizon > 0 &&
+           session_->ReachableLowerBound(*frequencies_, horizon) * slack_ >=
+               incumbent;
+  }
+
+ private:
+  PartitioningEnv* env_;
+  const std::vector<double>* frequencies_;
+  const InferenceOptions* options_;
+  EvalContext* ctx_;
+  std::unique_ptr<costmodel::WorkloadCostTracker> tracker_;
+  std::unique_ptr<search::ActionPruner::Session> session_;
+  double slack_ = 1.0;
+};
+
+/// One step of the greedy rollout, kept so pruned extra rollouts can replay
+/// the shared greedy prefix without re-deriving it from the Q-network.
 struct TrajStep {
   int action = 0;
   size_t legal_count = 0;  ///< Q-values the replay never computes
@@ -253,15 +236,16 @@ struct TrajStep {
   double cost = 0.0;
 };
 
-/// Counter deltas of one pruned rollout, accumulated locally and flushed to
-/// the registry once per inference call.
-struct PruneCounters {
+/// Counter deltas, summed over an Infer call's rollouts and flushed once.
+struct RolloutCounters {
+  uint64_t rollouts = 0;
   uint64_t q_evals = 0;
   uint64_t actions_pruned = 0;
   uint64_t eval_prunes = 0;
   uint64_t cutoffs = 0;
 
-  void MergeFrom(const PruneCounters& other) {
+  void MergeFrom(const RolloutCounters& other) {
+    rollouts += other.rollouts;
     q_evals += other.q_evals;
     actions_pruned += other.actions_pruned;
     eval_prunes += other.eval_prunes;
@@ -269,6 +253,7 @@ struct PruneCounters {
   }
   void Flush() const {
     auto& tm = TrainerMetrics::Get();
+    tm.inference_rollouts.Add(rollouts);
     tm.q_evals.Add(q_evals);
     tm.actions_pruned.Add(actions_pruned);
     tm.eval_prunes.Add(eval_prunes);
@@ -276,233 +261,160 @@ struct PruneCounters {
   }
 };
 
-/// One ε-randomized pruned extra rollout. Mirrors `Rollout` draw-for-draw
-/// (one Uniform per step when ε > 0, one UniformInt per exploration step) so
-/// the trajectory is identical to the unpruned rollout's; only provably
-/// non-improving incumbent updates, exact pricings, and Q forward passes are
-/// skipped. `greedy_best` is the finished greedy rollout's best cost — a
-/// sound pruning threshold because the final merge takes a strict minimum
-/// over it and all locals.
-void PrunedExtraRollout(const DqnAgent& agent,
-                        const search::ActionPruner& pruner,
-                        const std::vector<double>& frequencies,
-                        const partition::Featurizer& featurizer,
-                        const partition::ActionSpace& actions,
-                        const std::vector<TrajStep>& traj, double greedy_best,
-                        double epsilon, Rng* rng, InferenceResult* local,
-                        PruneCounters* counters,
-                        partition::PartitioningState state) {
-  TrainerMetrics::Get().inference_rollouts.Add();
-  auto session = pruner.NewSession();
-  const double slack = 1.0 + pruner.prune_epsilon();
-  const int tmax = agent.config().tmax;
-  bool prefix_intact = true;
-  for (int t = 0; t < tmax; ++t) {
-    bool explore =
-        epsilon > 0.0 && rng != nullptr && rng->Uniform() < epsilon;
-    if (!explore && prefix_intact && t < static_cast<int>(traj.size())) {
-      // Replay the cached greedy prefix: same state, same deterministic
-      // Q-argmax — no forward pass needed.
-      const TrajStep& step = traj[static_cast<size_t>(t)];
-      LPA_CHECK(actions.Apply(step.action, &state).ok());
-      session->Defer(actions.AffectedTables(step.action));
-      counters->actions_pruned += step.legal_count;
-      if (step.priced && step.cost < local->best_cost) {
-        // An unpriced step's cost is bounded below by the greedy incumbent
-        // of its time, hence by greedy_best: it can never win the final
-        // merge, so skipping its update is sound.
-        local->best_cost = step.cost;
-        local->best_state = state;
+/// Folds `state` into `best` when it is strictly cheaper.
+void Offer(double cost, const PartitioningState& state,
+           InferenceResult* best) {
+  if (cost < best->best_cost) {
+    best->best_cost = cost;
+    best->best_state = state;
+  }
+}
+
+/// One inference rollout: the loop every greedy and extra rollout runs.
+struct RolloutLoop {
+  const DqnAgent* agent;
+  const GreedyActionFn* greedy_action;  ///< empty = agent->GreedyAction
+  const partition::Featurizer* featurizer;
+  const partition::ActionSpace* actions;
+  const std::vector<double>* frequencies;
+  /// Greedy rollout: receives the trajectory.
+  std::vector<TrajStep>* record = nullptr;
+  /// Exploration: each step draws Uniform() from `rng` and, below
+  /// `epsilon`, takes a uniformly drawn legal action instead.
+  double epsilon = 0.0;
+  Rng* rng = nullptr;
+  /// Pruned extra rollouts: the greedy trajectory, replayed until the first
+  /// exploration step, and its best cost. The final merge takes a strict
+  /// minimum over the greedy result and every rollout, so a state that
+  /// cannot beat `greedy_best` needs no exact price.
+  const std::vector<TrajStep>* replay = nullptr;
+  double greedy_best = std::numeric_limits<double>::infinity();
+
+  /// Walks `tmax` steps from `state`, folding the cheapest priced state
+  /// into `best`.
+  void Run(RolloutPricer* pricer, InferenceResult* best,
+           RolloutCounters* counters, PartitioningState state) const {
+    ++counters->rollouts;
+    const std::vector<TrajStep>* prefix = replay;
+    const int tmax = agent->config().tmax;
+    for (int t = 0; t < tmax; ++t) {
+      const bool explore = epsilon > 0.0 && rng->Uniform() < epsilon;
+      if (explore) prefix = nullptr;  // the walk leaves the greedy prefix
+      if (prefix != nullptr) {
+        // Same state as the greedy rollout at step t, hence the same
+        // deterministic Q-argmax: no forward pass needed.
+        const TrajStep& step = (*prefix)[static_cast<size_t>(t)];
+        LPA_CHECK(actions->Apply(step.action, &state).ok());
+        pricer->Defer(actions->AffectedTables(step.action));
+        counters->actions_pruned += step.legal_count;
+        // An unpriced greedy step's cost is bounded below by the greedy
+        // incumbent of its time, so it can never win the final merge.
+        if (step.priced) Offer(step.cost, state, best);
+        continue;
       }
-      continue;
-    }
-    int action;
-    if (explore) {
-      std::vector<int> legal = actions.LegalActions(state);
-      action = legal[static_cast<size_t>(
-          rng->UniformInt(0, static_cast<int64_t>(legal.size()) - 1))];
-      prefix_intact = false;
-    } else {
-      std::vector<double> enc = featurizer.EncodeState(state, frequencies);
-      std::vector<int> legal = actions.LegalActions(state);
-      action = agent.GreedyAction(enc, legal);
-      ++counters->q_evals;
-    }
-    LPA_CHECK(actions.Apply(action, &state).ok());
-    double threshold = std::min(local->best_cost, greedy_best);
-    auto priced = session->PriceOrPrune(
-        state, actions.AffectedTables(action), frequencies, threshold);
-    if (!priced.exact) {
-      ++counters->eval_prunes;
-      continue;
-    }
-    if (priced.cost < local->best_cost) {
-      local->best_cost = priced.cost;
-      local->best_state = state;
-    }
-    int remaining = tmax - (t + 1);
-    if (remaining > 0) {
-      double reachable = session->ReachableLowerBound(frequencies, remaining);
-      if (reachable * slack >= std::min(local->best_cost, greedy_best)) {
-        // Nothing the rollout can still reach improves the incumbent.
+      std::vector<int> legal = actions->LegalActions(state);
+      int action;
+      if (explore) {
+        action = legal[static_cast<size_t>(
+            rng->UniformInt(0, static_cast<int64_t>(legal.size()) - 1))];
+      } else {
+        std::vector<double> enc = featurizer->EncodeState(state, *frequencies);
+        action = *greedy_action ? (*greedy_action)(enc, legal)
+                                : agent->GreedyAction(enc, legal);
+        ++counters->q_evals;
+      }
+      LPA_CHECK(actions->Apply(action, &state).ok());
+      PriceResult priced =
+          pricer->Price(state, actions->AffectedTables(action),
+                        std::min(best->best_cost, greedy_best));
+      if (record != nullptr) {
+        record->push_back(
+            TrajStep{action, legal.size(), priced.exact, priced.cost});
+      }
+      if (!priced.exact) {
+        ++counters->eval_prunes;
+        continue;
+      }
+      Offer(priced.cost, state, best);
+      // The greedy trajectory is part of the result: only extras stop early.
+      if (record == nullptr &&
+          pricer->CannotImprove(tmax - (t + 1),
+                                std::min(best->best_cost, greedy_best))) {
         ++counters->cutoffs;
         break;
       }
     }
   }
-}
+};
 
 }  // namespace
 
 InferenceResult EpisodeTrainer::Infer(const DqnAgent& agent,
                                       PartitioningEnv* env,
                                       const std::vector<double>& frequencies,
+                                      const InferenceOptions& options,
                                       EvalContext* ctx) const {
-  StateObjective objective = MakeEnvObjective(env, &frequencies, ctx)();
-  partition::PartitioningState state = InitialState();
-  // Pricing s0 first also syncs a tracker-backed objective to s0, so each
-  // subsequent rollout state is delta-costed against its predecessor.
-  InferenceResult result{state, objective(state), {}};
-  Rollout(agent, objective, frequencies, *featurizer_, *actions_, 0.0, nullptr,
-          /*record_actions=*/true, &result, state);
-  return result;
-}
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // The bounds rely on the pure query-cost contract; other environments (the
+  // online env's measured runtimes) price every state.
+  const search::ActionPruner* pruner =
+      env->SupportsIncrementalCost() ? options.pruner : nullptr;
+  RolloutCounters counters;
 
-InferenceResult EpisodeTrainer::InferBest(
-    const DqnAgent& agent, PartitioningEnv* env,
-    const std::vector<double>& frequencies, int extra_rollouts, double epsilon,
-    EvalContext* ctx) const {
-  InferenceResult result = Infer(agent, env, frequencies, ctx);
-  // Inside a parallel rollout each objective call must not itself fan out
-  // onto the pool, so the extras price states without a context; per-query
-  // costs still hit the (thread-safe) offline cache.
-  ObjectiveFactory factory = MakeEnvObjective(env, &frequencies, nullptr);
-  ExtraRollouts(agent, factory, frequencies, *featurizer_, *actions_,
-                InitialState(), extra_rollouts, epsilon, ctx,
-                /*parallel_ok=*/env->SupportsParallelEval(), &result);
-  return result;
-}
-
-InferenceResult EpisodeTrainer::InferBestPruned(
-    const DqnAgent& agent, PartitioningEnv* env,
-    const std::vector<double>& frequencies, int extra_rollouts, double epsilon,
-    const search::ActionPruner& pruner, EvalContext* ctx) const {
-  if (!env->SupportsIncrementalCost()) {
-    // The bounds rely on the pure query-cost contract; environments without
-    // it (the online env's measured runtimes) price every state as usual.
-    return InferBest(agent, env, frequencies, extra_rollouts, epsilon, ctx);
-  }
-  telemetry::Span span("rl.infer_pruned");
-  auto& tm = TrainerMetrics::Get();
-  const int tmax = agent.config().tmax;
-  PruneCounters counters;
-
-  // Greedy rollout: actions stay fully Q-driven (the trajectory is part of
-  // the result, so no step may be skipped); pricing uses the bound — a state
-  // that provably cannot beat the incumbent is never costed exactly.
-  tm.inference_rollouts.Add();
-  auto session = pruner.NewSession();
-  partition::PartitioningState state = InitialState();
-  InferenceResult result{state, session->PriceExact(state, {}, frequencies),
-                         {}};
+  // Greedy rollout. Pricing s0 first also syncs the pricer to s0, so each
+  // later state is delta-costed against its predecessor.
+  const PartitioningState s0 = InitialState();
+  RolloutPricer greedy_pricer(env, &frequencies, &options, pruner, ctx);
+  InferenceResult result{s0, greedy_pricer.Price(s0, {}, kInf).cost, {}};
   std::vector<TrajStep> traj;
-  traj.reserve(static_cast<size_t>(tmax));
-  for (int t = 0; t < tmax; ++t) {
-    std::vector<double> enc = featurizer_->EncodeState(state, frequencies);
-    std::vector<int> legal = actions_->LegalActions(state);
-    int action = agent.GreedyAction(enc, legal);
-    ++counters.q_evals;
-    LPA_CHECK(actions_->Apply(action, &state).ok());
-    result.actions.push_back(action);
-    auto priced = session->PriceOrPrune(
-        state, actions_->AffectedTables(action), frequencies,
-        result.best_cost);
-    if (priced.exact) {
-      if (priced.cost < result.best_cost) {
-        result.best_cost = priced.cost;
-        result.best_state = state;
-      }
-    } else {
-      ++counters.eval_prunes;
-    }
-    traj.push_back(
-        TrajStep{action, legal.size(), priced.exact, priced.cost});
-  }
+  RolloutLoop greedy{&agent, &options.greedy_action, featurizer_, actions_,
+                     &frequencies};
+  greedy.record = &traj;
+  greedy.Run(&greedy_pricer, &result, &counters, s0);
+  for (const TrajStep& step : traj) result.actions.push_back(step.action);
 
-  if (extra_rollouts > 0 && ctx != nullptr) {
-    std::vector<Rng> rngs = ctx->ForkRngs(static_cast<size_t>(extra_rollouts));
-    std::vector<InferenceResult> locals(
-        static_cast<size_t>(extra_rollouts),
-        InferenceResult{InitialState(),
-                        std::numeric_limits<double>::infinity(),
-                        {}});
-    std::vector<PruneCounters> local_counters(
-        static_cast<size_t>(extra_rollouts));
-    const double greedy_best = result.best_cost;
+  if (options.extra_rollouts > 0) {
+    LPA_CHECK(ctx != nullptr);
+    const size_t n = static_cast<size_t>(options.extra_rollouts);
+    std::vector<Rng> rngs = ctx->ForkRngs(n);
+    // Pricers are built here, not on the pool: tracker-backed ones allocate,
+    // and construction order must not depend on scheduling. They take no
+    // context, so a pricing inside a pooled rollout never fans out again.
+    std::vector<RolloutPricer> pricers;
+    pricers.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      pricers.emplace_back(env, &frequencies, &options, pruner, nullptr);
+    }
+    std::vector<InferenceResult> locals(n, InferenceResult{s0, kInf, {}});
+    std::vector<RolloutCounters> local_counters(n);
+    RolloutLoop extra = greedy;
+    extra.record = nullptr;
+    extra.epsilon = options.epsilon;
+    if (pruner != nullptr) {
+      extra.replay = &traj;
+      extra.greedy_best = result.best_cost;
+    }
     auto run_one = [&](size_t i) {
-      PrunedExtraRollout(agent, pruner, frequencies, *featurizer_, *actions_,
-                         traj, greedy_best, epsilon, &rngs[i], &locals[i],
-                         &local_counters[i], InitialState());
+      RolloutLoop rollout = extra;
+      rollout.rng = &rngs[i];
+      rollout.Run(&pricers[i], &locals[i], &local_counters[i], s0);
     };
+    // Environments with per-call mutable state (the online env) must never
+    // be priced from two threads at once.
     if (env->SupportsParallelEval() && ctx->pool() != nullptr) {
-      ctx->pool()->ParallelForEach(static_cast<size_t>(extra_rollouts), 1,
-                                   run_one);
+      ctx->pool()->ParallelForEach(n, 1, run_one);
     } else {
-      for (size_t i = 0; i < static_cast<size_t>(extra_rollouts); ++i) {
-        run_one(i);
-      }
+      for (size_t i = 0; i < n; ++i) run_one(i);
     }
-    // Strict-< merge in rollout-index order: identical whether the rollouts
-    // ran serially or on the pool.
-    for (const InferenceResult& local : locals) {
-      if (local.best_cost < result.best_cost) {
-        result.best_cost = local.best_cost;
-        result.best_state = local.best_state;
-      }
+    // Strict-< merge in rollout order: identical whether the rollouts ran
+    // serially or on the pool.
+    for (size_t i = 0; i < n; ++i) {
+      Offer(locals[i].best_cost, locals[i].best_state, &result);
+      counters.MergeFrom(local_counters[i]);
     }
-    for (const PruneCounters& lc : local_counters) counters.MergeFrom(lc);
   }
   counters.Flush();
   return result;
-}
-
-InferenceResult EpisodeTrainer::InferObjective(
-    const DqnAgent& agent, const std::vector<double>& frequencies,
-    const ObjectiveFactory& objective_factory, int extra_rollouts,
-    double epsilon, EvalContext* ctx) const {
-  StateObjective objective = objective_factory();
-  partition::PartitioningState state = InitialState();
-  InferenceResult result{state, objective(state), {}};
-  Rollout(agent, objective, frequencies, *featurizer_, *actions_, 0.0, nullptr,
-          /*record_actions=*/true, &result, state);
-  ExtraRollouts(agent, objective_factory, frequencies, *featurizer_, *actions_,
-                InitialState(), extra_rollouts, epsilon, ctx,
-                /*parallel_ok=*/true, &result);
-  return result;
-}
-
-EpisodeTrainer::ObjectiveFactory MakeEnvObjective(
-    PartitioningEnv* env, const std::vector<double>* frequencies,
-    EvalContext* ctx) {
-  EvalContext* fanout_ctx = env->SupportsParallelEval() ? ctx : nullptr;
-  if (env->SupportsIncrementalCost()) {
-    return [env, frequencies, fanout_ctx]() -> EpisodeTrainer::StateObjective {
-      auto tracker = std::make_shared<costmodel::WorkloadCostTracker>(
-          &env->workload(),
-          [env](int j, const partition::PartitioningState& s) {
-            return env->QueryCost(j, s, 1.0);
-          });
-      return [tracker, frequencies,
-              fanout_ctx](const partition::PartitioningState& s) {
-        return tracker->Evaluate(s, *frequencies, fanout_ctx);
-      };
-    };
-  }
-  return [env, frequencies, ctx]() -> EpisodeTrainer::StateObjective {
-    return [env, frequencies, ctx](const partition::PartitioningState& s) {
-      return env->WorkloadCost(s, *frequencies, ctx);
-    };
-  };
 }
 
 }  // namespace lpa::rl

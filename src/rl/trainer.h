@@ -5,6 +5,10 @@
 #include "rl/dqn.h"
 #include "rl/environment.h"
 
+namespace lpa::costmodel {
+class CostModel;
+}  // namespace lpa::costmodel
+
 namespace lpa::search {
 class ActionPruner;
 }  // namespace lpa::search
@@ -68,10 +72,39 @@ struct ActorLearnerConfig {
 /// \brief Result of the greedy inference rollout (Sec 6).
 struct InferenceResult {
   partition::PartitioningState best_state;
-  /// Environment workload cost at the best state.
+  /// Cost at the best state: the environment's workload cost, plus the
+  /// transition term when one was requested.
   double best_cost = 0.0;
-  /// Action ids of the full rollout.
+  /// Action ids of the full greedy rollout.
   std::vector<int> actions;
+};
+
+/// \brief The greedy choice among `legal` at an encoded state: the Q-source
+/// of an inference rollout's non-exploring steps.
+using GreedyActionFn = std::function<int(const std::vector<double>& state_enc,
+                                         const std::vector<int>& legal)>;
+
+/// \brief Per-call settings of `EpisodeTrainer::Infer`.
+struct InferenceOptions {
+  /// ε-randomized rollouts after the greedy one (0 = Sec 6's single greedy
+  /// rollout). They need the call's context.
+  int extra_rollouts = 0;
+  /// Exploration probability of each step of an extra rollout.
+  double epsilon = 0.0;
+  /// Admissible-bound pruning (src/search/) built from the environment's
+  /// own query costs; ignored by environments without incremental costing.
+  /// The bounds cover the workload cost only, so it must not be combined
+  /// with a transition term.
+  const search::ActionPruner* pruner = nullptr;
+  /// Transition term (the reward extension at the end of Sec 3.2): with
+  /// `deployed` set, states are ranked by
+  ///   workload_cost + transition_weight * repartitioning_cost(deployed -> s)
+  /// priced by `transition_model`.
+  const partition::PartitioningState* deployed = nullptr;
+  double transition_weight = 0.0;
+  const costmodel::CostModel* transition_model = nullptr;
+  /// Source of the greedy actions; empty means `agent.GreedyAction`.
+  GreedyActionFn greedy_action;
 };
 
 /// \brief Runs Algorithm 1 (and its online refinement variant) against any
@@ -121,74 +154,43 @@ class EpisodeTrainer {
                                    const ActorLearnerConfig& config,
                                    EvalContext* ctx) const;
 
-  /// \brief Greedy rollout from s0; returns the best-reward state on the
-  /// trajectory, not the final state (the agent oscillates around the
-  /// optimum, Sec 6). `ctx` (optional) parallelizes the per-state workload
-  /// cost over queries.
-  InferenceResult Infer(const DqnAgent& agent, PartitioningEnv* env,
-                        const std::vector<double>& frequencies,
-                        EvalContext* ctx = nullptr) const;
-
-  /// \brief Extension of Sec 6's inference: one greedy rollout plus
-  /// `extra_rollouts` lightly randomized (ε = `epsilon`) rollouts, returning
-  /// the best state visited by any of them. All rollouts are priced by the
-  /// environment (the offline simulation / the runtime cache), so the extra
-  /// rollouts cost no cluster time; they merely smooth over the greedy
-  /// policy's oscillation on large schemas. The extra rollouts run in
-  /// parallel when `ctx` has a pool and the environment supports it.
-  InferenceResult InferBest(const DqnAgent& agent, PartitioningEnv* env,
-                            const std::vector<double>& frequencies,
-                            int extra_rollouts, double epsilon,
-                            EvalContext* ctx) const;
-
-  /// \brief InferBest with admissible-bound pruning (src/search/): `pruner`
-  /// supplies per-query cost floors built from the SAME pure query-cost
-  /// function the environment prices with. Three sound savings:
+  /// \brief Inference (Sec 6): a greedy rollout from s0 that returns the
+  /// best-cost state on its trajectory, not the final state (the agent
+  /// oscillates around the optimum), followed by `options.extra_rollouts`
+  /// ε-randomized rollouts whose best states compete with it.
   ///
-  ///  - eval-pruning: a visited state whose lower bound already clears the
+  /// Every rollout prices its states with its own pricer: the environment's
+  /// workload cost, delta-costed through a `costmodel::WorkloadCostTracker`
+  /// when the environment `SupportsIncrementalCost()`, plus the optional
+  /// transition term. With `options.pruner` the pricer is an
+  /// `ActionPruner` session instead, which saves work in three sound ways:
+  ///
+  ///  - eval-pruning: a state whose lower bound already clears the
   ///    incumbent is never priced exactly (rl.eval_prunes.count);
   ///  - greedy-prefix reuse: the extra rollouts replay the greedy rollout's
-  ///    cached trajectory until their first exploration step, skipping the
-  ///    Q-network forward passes entirely (rl.actions_pruned.count);
-  ///  - horizon cutoff: an extra rollout stops early when no state reachable
-  ///    within the remaining steps can improve the incumbent
+  ///    trajectory until their first exploration step, skipping its
+  ///    Q-network forward passes (rl.actions_pruned.count);
+  ///  - horizon cutoff: an extra rollout stops when no state reachable
+  ///    within its remaining steps can improve the incumbent
   ///    (rl.rollout_cutoffs.count).
   ///
-  /// With `pruner.prune_epsilon() == 0` the returned result — best state,
-  /// best cost, AND the greedy action trajectory — is bit-identical to
-  /// `InferBest` at every thread count: trajectories are Q-driven (costs
-  /// only tighten the incumbent through a strict `<`), each rollout draws
-  /// from its own forked RNG in the same order, and only updates that
-  /// provably cannot fire are skipped. With ε > 0 the result's cost is
-  /// within (1+ε) of the unpruned one. Falls back to plain InferBest when
-  /// the environment does not support incremental costing (the bounds rely
-  /// on the pure query-cost contract).
-  InferenceResult InferBestPruned(const DqnAgent& agent, PartitioningEnv* env,
-                                  const std::vector<double>& frequencies,
-                                  int extra_rollouts, double epsilon,
-                                  const search::ActionPruner& pruner,
-                                  EvalContext* ctx) const;
-
-  /// \brief Like InferBest, but states are ranked by a caller-supplied
-  /// objective instead of the plain environment cost — e.g. workload cost
-  /// plus a weighted repartitioning cost from the currently deployed design
-  /// (the reward extension discussed at the end of Sec 3.2).
+  /// At `prune_epsilon() == 0` the pruned result — best state, best cost
+  /// and greedy actions — is bit-identical to the unpruned one: trajectories
+  /// are Q-driven, the incumbent only moves on a strict `<`, and only
+  /// updates that provably cannot fire are skipped. At ε > 0 its cost is
+  /// within (1+ε) of the unpruned one.
   ///
-  /// The caller supplies an objective FACTORY, not a single objective: each
-  /// rollout (the greedy one and every extra) gets its own objective
-  /// instance, so stateful objectives — notably ones backed by a
-  /// `costmodel::WorkloadCostTracker`, which delta-costs the consecutive
-  /// states of a rollout — need no internal synchronization. When `ctx` has
-  /// a pool the extra rollouts run concurrently, so the factory's products
-  /// must be independent (shared lower layers like the cost cache must be
-  /// thread-safe).
-  using StateObjective = std::function<double(const partition::PartitioningState&)>;
-  using ObjectiveFactory = std::function<StateObjective()>;
-  InferenceResult InferObjective(const DqnAgent& agent,
-                                 const std::vector<double>& frequencies,
-                                 const ObjectiveFactory& objective_factory,
-                                 int extra_rollouts, double epsilon,
-                                 EvalContext* ctx) const;
+  /// The extra rollouts need `ctx` (non-null when `extra_rollouts > 0`): one
+  /// `ForkRngs` draw gives each its own RNG stream, and they run on the
+  /// context's pool only when the environment `SupportsParallelEval()`.
+  /// Their results merge in rollout order with a strict `<`, so a seeded
+  /// call is bit-identical at every thread count. The greedy rollout's
+  /// pricings may fan out over `ctx`'s pool (per query, or inside the
+  /// online environment's engine).
+  InferenceResult Infer(const DqnAgent& agent, PartitioningEnv* env,
+                        const std::vector<double>& frequencies,
+                        const InferenceOptions& options = {},
+                        EvalContext* ctx = nullptr) const;
 
   /// \brief Workload cost of the initial state under a uniform mix — the
   /// reward normalizer.
@@ -204,16 +206,5 @@ class EpisodeTrainer {
   const partition::ActionSpace* actions_;
   const partition::Featurizer* featurizer_;
 };
-
-/// \brief Objective factory that prices states through `env`: each product
-/// wraps a fresh `costmodel::WorkloadCostTracker` when the environment
-/// supports incremental costing (consecutive rollout states are then
-/// delta-costed), and falls back to plain `env->WorkloadCost` otherwise.
-/// `frequencies` is captured by pointer and must outlive the products; `ctx`
-/// (nullable) parallelizes per-query pricing and is ignored when the
-/// environment does not support parallel evaluation.
-EpisodeTrainer::ObjectiveFactory MakeEnvObjective(
-    PartitioningEnv* env, const std::vector<double>* frequencies,
-    EvalContext* ctx);
 
 }  // namespace lpa::rl

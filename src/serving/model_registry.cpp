@@ -127,14 +127,9 @@ void ServingModel::TryQuantize(const QuantizeSpec& spec) {
   size_t agree = 0;
   auto legal_argmax = [](const nn::Matrix& q, size_t r,
                          const std::vector<int>& legal) {
-    size_t best = 0;
-    for (size_t i = 1; i < legal.size(); ++i) {
-      if (q.at(r, static_cast<size_t>(legal[i])) >
-          q.at(r, static_cast<size_t>(legal[best]))) {
-        best = i;
-      }
-    }
-    return legal[best];
+    return rl::FirstMaxLegal(legal, [&](size_t i) {
+      return q.at(r, static_cast<size_t>(legal[i]));
+    });
   };
   for (size_t i = 0; i < encs.size(); ++i) {
     if (legal_argmax(q_fp, i, legals[i]) == legal_argmax(q_int, i, legals[i])) {
@@ -157,42 +152,18 @@ void ServingModel::TryQuantize(const QuantizeSpec& spec) {
 
 rl::InferenceResult ServingModel::Suggest(
     const std::vector<double>& frequencies) {
+  // The advisor's greedy rollout with its Q-evaluations detoured through the
+  // batcher, so the served result is bit-identical to the advisor's.
   InferenceBatcher::RolloutScope scope(&batcher_);
-  const partition::Featurizer& featurizer = advisor_->featurizer();
-  const partition::ActionSpace& actions = advisor_->actions();
-  const rl::DqnAgent& agent = *advisor_->agent();
-
-  // Mirror EpisodeTrainer::Infer step for step (tracker-backed objective,
-  // s0 priced first, strict-< best tracking, GreedyAction's first-max
-  // tie-break) so the served result is bit-identical to Advisor::Suggest;
-  // only the Q-evaluation detours through the batcher.
-  rl::EpisodeTrainer::StateObjective objective =
-      rl::MakeEnvObjective(env_.get(), &frequencies, nullptr)();
-  partition::PartitioningState state = partition::PartitioningState::Initial(
-      &advisor_->schema(), &advisor_->edges());
-  rl::InferenceResult result{state, objective(state), {}};
-  const int tmax = agent.config().tmax;
-  for (int t = 0; t < tmax; ++t) {
-    std::vector<double> enc = featurizer.EncodeState(state, frequencies);
-    std::vector<int> legal = actions.LegalActions(state);
-    std::vector<double> q = batcher_.AllQValues(enc);
-    size_t best = 0;
-    for (size_t i = 1; i < legal.size(); ++i) {
-      if (q[static_cast<size_t>(legal[i])] >
-          q[static_cast<size_t>(legal[best])]) {
-        best = i;
-      }
-    }
-    int action = legal[best];
-    LPA_CHECK(actions.Apply(action, &state).ok());
-    result.actions.push_back(action);
-    double cost = objective(state);
-    if (cost < result.best_cost) {
-      result.best_cost = cost;
-      result.best_state = state;
-    }
-  }
-  return result;
+  rl::InferenceOptions options;
+  options.greedy_action = [this](const std::vector<double>& state_enc,
+                                 const std::vector<int>& legal) {
+    const std::vector<double> q = batcher_.AllQValues(state_enc);
+    return rl::FirstMaxLegal(
+        legal, [&](size_t i) { return q[static_cast<size_t>(legal[i])]; });
+  };
+  return advisor_->trainer().Infer(*advisor_->agent(), env_.get(),
+                                   frequencies, options);
 }
 
 uint64_t ModelRegistry::Publish(std::shared_ptr<ServingModel> model) {

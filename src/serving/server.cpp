@@ -15,6 +15,7 @@ struct ServerMetrics {
   telemetry::Counter& rejected;
   telemetry::Counter& shed;
   telemetry::Counter& failed;
+  telemetry::Counter& rejected_invalid;
   telemetry::Gauge& queue_depth;
   telemetry::Histogram& latency;
   telemetry::Histogram& queue_wait;
@@ -27,6 +28,7 @@ struct ServerMetrics {
         reg.GetCounter("serving.rejected.count"),
         reg.GetCounter("serving.shed.count"),
         reg.GetCounter("serving.failed.count"),
+        reg.GetCounter("serving.rejected_invalid.count"),
         reg.GetGauge("serving.queue_depth.count"),
         reg.GetHistogram("serving.latency.seconds",
                          telemetry::Histogram::LatencyBounds()),
@@ -168,6 +170,14 @@ void AdvisorServer::WorkerLoop() {
     const Clock::time_point picked_up = Clock::now();
     const double queue_seconds = Seconds(picked_up - request.submitted_at);
     metrics.queue_wait.Observe(queue_seconds);
+    auto fail = [&](Status status) {
+      failed_.fetch_add(1, std::memory_order_relaxed);
+      metrics.failed.Add();
+      Respond(&request, SuggestResponse{
+                            std::move(status), 0, {},
+                            Seconds(Clock::now() - request.submitted_at),
+                            queue_seconds});
+    };
 
     if (picked_up > request.deadline) {
       shed_.fetch_add(1, std::memory_order_relaxed);
@@ -185,13 +195,16 @@ void AdvisorServer::WorkerLoop() {
     PublishedModel published =
         registry != nullptr ? registry->Current() : PublishedModel{};
     if (published.model == nullptr) {
-      failed_.fetch_add(1, std::memory_order_relaxed);
-      metrics.failed.Add();
-      Respond(&request,
-              SuggestResponse{
-                  Status::FailedPrecondition("no model published"), 0, {},
-                  Seconds(Clock::now() - request.submitted_at),
-                  queue_seconds});
+      fail(Status::FailedPrecondition("no model published"));
+      continue;
+    }
+    // A malformed mix must neither abort the process nor be answered OK.
+    if (Status invalid =
+            published.model->advisor().workload().CheckFrequencies(
+                request.frequencies);
+        !invalid.ok()) {
+      metrics.rejected_invalid.Add();
+      fail(std::move(invalid));
       continue;
     }
 

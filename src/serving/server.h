@@ -62,7 +62,8 @@ struct RequestSink {
 ///
 /// Every submitted request gets exactly one response — completed, rejected
 /// at admission (queue full / server stopped), shed past its deadline, or
-/// failed (no model published / aborted shutdown); futures are never
+/// failed (no model published, InvalidArgument for a frequency vector the
+/// model's workload rejects, aborted shutdown); futures are never
 /// abandoned. Stop(kDrain) stops admissions, lets workers finish everything
 /// queued, and joins them; Stop(kAbort) fails whatever is still queued.
 /// The server is restartable: Start after Stop begins a fresh queue.
@@ -116,7 +117,7 @@ class AdvisorServer {
     uint64_t completed = 0;
     uint64_t rejected = 0;  ///< admission control (queue full / not running)
     uint64_t shed = 0;      ///< deadline passed while queued
-    uint64_t failed = 0;    ///< no model / aborted shutdown
+    uint64_t failed = 0;    ///< no model / invalid mix / aborted shutdown
   };
   Stats stats() const;
 

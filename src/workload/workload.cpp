@@ -1,6 +1,8 @@
 #include "workload/workload.h"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
 namespace lpa::workload {
 
@@ -10,13 +12,24 @@ int Workload::AddQuery(QuerySpec query) {
   return static_cast<int>(queries_.size()) - 1;
 }
 
-Status Workload::SetFrequencies(std::vector<double> freqs) {
+Status Workload::CheckFrequencies(const std::vector<double>& freqs) const {
   if (freqs.size() != queries_.size()) {
-    return Status::InvalidArgument("frequency vector size mismatch");
+    return Status::InvalidArgument(
+        "frequency vector has " + std::to_string(freqs.size()) +
+        " entries; workload has " + std::to_string(queries_.size()) +
+        " queries");
   }
   for (double f : freqs) {
-    if (f < 0.0) return Status::InvalidArgument("negative frequency");
+    if (!std::isfinite(f) || f < 0.0) {
+      return Status::InvalidArgument("frequency " + std::to_string(f) +
+                                     " is not finite and >= 0");
+    }
   }
+  return Status::OK();
+}
+
+Status Workload::SetFrequencies(std::vector<double> freqs) {
+  LPA_RETURN_NOT_OK(CheckFrequencies(freqs));
   frequencies_ = NormalizeFrequencies(std::move(freqs));
   return Status::OK();
 }

@@ -33,7 +33,12 @@ class Workload {
   /// \brief Current frequency vector (normalized so the max entry is 1).
   const std::vector<double>& frequencies() const { return frequencies_; }
 
-  /// \brief Replace the frequency vector; it is re-normalized to max = 1.
+  /// \brief OK iff `freqs` can serve as this workload's frequency vector:
+  /// one entry per query, each finite and >= 0. InvalidArgument otherwise.
+  Status CheckFrequencies(const std::vector<double>& freqs) const;
+
+  /// \brief Replace the frequency vector (rejected unless CheckFrequencies
+  /// passes); it is re-normalized to max = 1.
   Status SetFrequencies(std::vector<double> freqs);
 
   /// \brief Set every frequency to 1.

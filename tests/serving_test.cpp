@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <future>
 #include <memory>
 #include <sstream>
@@ -21,6 +22,7 @@
 #include "serving/model_registry.h"
 #include "serving/request_queue.h"
 #include "serving/server.h"
+#include "telemetry/registry.h"
 #include "workload/benchmarks.h"
 
 namespace lpa::serving {
@@ -332,6 +334,49 @@ TEST_F(ServingTest, RequestsFailCleanlyWithNoModelPublished) {
   EXPECT_EQ(response.status.code(), Status::Code::kFailedPrecondition);
   server.Stop();
   EXPECT_EQ(server.stats().failed, 1u);
+}
+
+// A frequency vector the model cannot serve — too long, too short, NaN or
+// negative — is answered InvalidArgument without reaching the rollout, and
+// the server keeps serving valid requests.
+TEST_F(ServingTest, MalformedFrequencyVectorsAreRejectedAndServingContinues) {
+  ModelRegistry registry;
+  registry.Publish(MakeModel());
+  ServerConfig config;
+  config.worker_threads = 2;
+  AdvisorServer server(&registry, config);
+  ASSERT_TRUE(server.Start().ok());
+  auto& rejected_invalid = telemetry::MetricsRegistry::Global().GetCounter(
+      "serving.rejected_invalid.count");
+  const uint64_t rejected_before = rejected_invalid.value();
+
+  const size_t m = static_cast<size_t>(workload_->num_queries());
+  std::vector<double> negative(m, 1.0);
+  negative[1] = -1.0;
+  const std::vector<std::vector<double>> malformed = {
+      std::vector<double>(m + 1, 1.0), std::vector<double>(m - 1, 1.0),
+      std::vector<double>(m, std::nan("")), negative};
+  for (const auto& frequencies : malformed) {
+    SuggestResponse response = server.Suggest(frequencies);
+    EXPECT_EQ(response.status.code(), Status::Code::kInvalidArgument)
+        << response.status.ToString();
+    EXPECT_FALSE(response.result.has_value());
+  }
+
+  SuggestResponse valid = server.Suggest(Mix(0));
+  ASSERT_TRUE(valid.status.ok()) << valid.status.ToString();
+  rl::InferenceResult expected = SerialSuggest(Mix(0));
+  EXPECT_EQ(valid.result->actions, expected.actions);
+  EXPECT_EQ(valid.result->best_cost, expected.best_cost);
+  server.Stop();
+
+  auto stats = server.stats();
+  EXPECT_EQ(stats.submitted, malformed.size() + 1);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.failed, malformed.size());
+  EXPECT_EQ(stats.submitted,
+            stats.completed + stats.rejected + stats.shed + stats.failed);
+  EXPECT_EQ(rejected_invalid.value() - rejected_before, malformed.size());
 }
 
 // ---------------------------------------------------------------------------

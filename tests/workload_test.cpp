@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "schema/catalogs.h"
 #include "workload/benchmarks.h"
 
@@ -93,6 +96,27 @@ TEST(WorkloadTest, SetFrequenciesRejectsBadInput) {
   std::vector<double> neg(13, 1.0);
   neg[0] = -1.0;
   EXPECT_FALSE(w.SetFrequencies(neg).ok());              // negative entry
+}
+
+TEST(WorkloadTest, CheckFrequenciesRejectsNonFiniteEntries) {
+  schema::Schema s = schema::MakeSsbSchema();
+  Workload w = MakeSsbWorkload(s);
+  std::vector<double> f(13, 1.0);
+  EXPECT_TRUE(w.CheckFrequencies(f).ok());
+  f[4] = 0.0;  // a zero slot is a valid frequency
+  EXPECT_TRUE(w.CheckFrequencies(f).ok());
+  for (double bad : {std::nan(""), std::numeric_limits<double>::infinity(),
+                     -0.5}) {
+    std::vector<double> g = f;
+    g[7] = bad;
+    EXPECT_EQ(w.CheckFrequencies(g).code(), Status::Code::kInvalidArgument)
+        << bad;
+    EXPECT_FALSE(w.SetFrequencies(g).ok()) << bad;
+  }
+  EXPECT_FALSE(w.CheckFrequencies(std::vector<double>(14, 1.0)).ok());
+  EXPECT_FALSE(w.CheckFrequencies(std::vector<double>(12, 1.0)).ok());
+  // A rejected vector leaves the workload's own frequencies untouched.
+  EXPECT_EQ(w.frequencies(), std::vector<double>(13, 1.0));
 }
 
 TEST(WorkloadTest, QueriesTouching) {

@@ -10,15 +10,16 @@
 #   $ tools/check.sh autopilot       # TSan autopilot tests + bench smoke
 #   $ tools/check.sh storage         # ASan+UBSan storage/engine + compression smoke
 #   $ tools/check.sh train           # TSan actor/learner tests + training kernel
-#   $ tools/check.sh search          # ASan+UBSan search/pruning tests + DP bench smoke
+#   $ tools/check.sh search          # ASan+UBSan search/pruning/inference tests + DP bench smoke
 #   $ LPA_SANITIZE=undefined tools/check.sh
 #   $ BUILD_DIR=build-asan tools/check.sh
 #   $ CTEST_FILTER=advisor tools/check.sh tsan
 #
 # The tsan preset builds with -DLPA_SANITIZE=thread into build-tsan and, by
-# default, runs only the tests that exercise the parallel evaluation engine
-# and the serving subsystem (TSan slows everything ~10x; the serial tests
-# gain nothing from it).
+# default, runs only the tests that exercise the parallel evaluation engine,
+# the inference rollouts (extra rollouts on the pool, and serial on the
+# non-thread-safe online environment), and the serving subsystem (TSan slows
+# everything ~10x; the serial tests gain nothing from it).
 #
 # The serve preset builds serving_test and lpa_loadgen under TSan, runs the
 # serving tests, then drives a ~5-second loadgen smoke (1/2/8 workers with a
@@ -65,9 +66,11 @@
 # The search preset builds the design-search subsystem (src/search/) under
 # ASan+UBSan and runs search_test (DP (1+ε) certificate vs exhaustive
 # enumeration, admissible floors, pruned-Suggest bit-identity at 1/2/8
-# threads) plus parallel_eval_test, then drives the bench_exp1_offline
-# verification sections (--baseline dp): the micro exhaustive gate and the
-# pruned-vs-unpruned Suggest counter checks, exiting non-zero on violation.
+# threads), parallel_eval_test and inference_test (golden results and
+# counters of every Suggest path, pruned ones included), then drives the
+# bench_exp1_offline verification sections (--baseline dp): the micro
+# exhaustive gate and the pruned-vs-unpruned Suggest counter checks, exiting
+# non-zero on violation.
 # The gates assert digests and counters; wall-clock columns are informational.
 #
 # The perf preset builds Release into build-perf and runs bench_micro_components
@@ -203,14 +206,14 @@ if [[ "${PRESET}" == "search" ]]; then
   echo "== configure (${BUILD_DIR}, -fsanitize=address,undefined) =="
   cmake -B "${BUILD_DIR}" -S . -DLPA_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
-  echo "== build search_test + parallel_eval_test + bench_exp1_offline =="
+  echo "== build search_test + parallel_eval_test + inference_test + bench_exp1_offline =="
   cmake --build "${BUILD_DIR}" -j "${JOBS}" --target search_test \
-    parallel_eval_test bench_exp1_offline
-  echo "== search + pruning tests (ASan+UBSan) =="
+    parallel_eval_test inference_test bench_exp1_offline
+  echo "== search + pruning + inference tests (ASan+UBSan) =="
   ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=0}" \
   UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \
     ctest --test-dir "${BUILD_DIR}" --output-on-failure \
-      -R 'search_test|parallel_eval_test'
+      -R 'search_test|parallel_eval_test|inference_test'
   echo "== bench smoke: DP (1+eps) certificate + pruned-Suggest bit-identity =="
   ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=0}" \
   UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \
@@ -223,7 +226,7 @@ fi
 if [[ "${PRESET}" == "tsan" ]]; then
   SANITIZE="${LPA_SANITIZE:-thread}"
   BUILD_DIR="${BUILD_DIR:-build-tsan}"
-  CTEST_FILTER="${CTEST_FILTER:-parallel_eval_test|serving_test|fleet_test}"
+  CTEST_FILTER="${CTEST_FILTER:-parallel_eval_test|inference_test|serving_test|fleet_test}"
 else
   SANITIZE="${LPA_SANITIZE:-address,undefined}"
   BUILD_DIR="${BUILD_DIR:-build-sanitize}"
