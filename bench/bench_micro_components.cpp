@@ -31,6 +31,7 @@
 #include "schema/catalogs.h"
 #include "storage/database.h"
 #include "storage/encoded_column.h"
+#include "util/eval_context.h"
 #include "util/rng.h"
 #include "workload/benchmarks.h"
 
@@ -161,8 +162,11 @@ void BM_MlpForward128x64(benchmark::State& s) {
 }
 BENCHMARK(BM_MlpForward128x64);
 
-void BM_DqnTrainStep(benchmark::State& s) {
-  auto& f = Ssb();
+/// One DQN minibatch step (batch 32) on a replay of 64 copies of the
+/// initial state's transition, with the learner's products on a pool of
+/// `threads` threads (1 = serial).
+template <class Fixture>
+void DqnTrainStep(benchmark::State& s, Fixture& f, int threads) {
   partition::ActionSpace actions(&f.schema, &f.edges);
   partition::Featurizer featurizer(&f.schema, &f.edges, f.wl.num_queries());
   rl::DqnConfig config;
@@ -174,12 +178,28 @@ void BM_DqnTrainStep(benchmark::State& s) {
   for (int i = 0; i < 64; ++i) {
     agent.Observe(rl::Transition{enc, legal[0], -1.0, enc, legal});
   }
+  EvalContext ctx(threads);
   Rng rng(3);
   for (auto _ : s) {
-    benchmark::DoNotOptimize(agent.TrainStep(&rng));
+    benchmark::DoNotOptimize(agent.TrainStep(&rng, ctx.pool()));
   }
 }
+
+// SSB: 31 -> 128 -> 64 -> 22.
+void BM_DqnTrainStep(benchmark::State& s) { DqnTrainStep(s, Ssb(), 1); }
 BENCHMARK(BM_DqnTrainStep);
+
+void BM_DqnTrainStepPool4(benchmark::State& s) { DqnTrainStep(s, Ssb(), 4); }
+BENCHMARK(BM_DqnTrainStepPool4);
+
+// TPC-CH: 76 -> 128 -> 64 -> 70.
+void BM_DqnTrainStepTpcch(benchmark::State& s) { DqnTrainStep(s, Tpcch(), 1); }
+BENCHMARK(BM_DqnTrainStepTpcch);
+
+void BM_DqnTrainStepTpcchPool4(benchmark::State& s) {
+  DqnTrainStep(s, Tpcch(), 4);
+}
+BENCHMARK(BM_DqnTrainStepTpcchPool4);
 
 void BM_EngineExecuteQuery(benchmark::State& s) {
   auto& f = Ssb();

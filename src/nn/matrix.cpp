@@ -1,19 +1,10 @@
 #include "nn/matrix.h"
 
+#include <algorithm>
+
+#include "nn/kernels.h"
+
 namespace lpa::nn {
-
-namespace {
-
-/// Below this many flops per row chunk, parallelism costs more than it buys;
-/// products smaller than two chunks run inline.
-constexpr size_t kMinFlopsPerChunk = 16 * 1024;
-
-/// Rows per chunk so one chunk carries at least kMinFlopsPerChunk work.
-size_t RowChunk(size_t flops_per_row) {
-  return kMinFlopsPerChunk / (flops_per_row + 1) + 1;
-}
-
-}  // namespace
 
 Matrix Matrix::FromRows(const std::vector<std::vector<double>>& rows) {
   assert(!rows.empty());
@@ -25,76 +16,81 @@ Matrix Matrix::FromRows(const std::vector<std::vector<double>>& rows) {
   return m;
 }
 
-void Gemm(const Matrix& a, const Matrix& b, Matrix* c, ThreadPool* pool) {
+namespace {
+
+/// C rows [0, m) of `g` through the active kernel; see kernels::RowChunk.
+void RunGemm(const kernels::GemmArgs& g, size_t m, ThreadPool* pool) {
+  const kernels::Ops& ops = kernels::Active();
+  kernels::ForChunks(pool, m, kernels::RowChunk(g.k * g.n),
+                     [&ops, &g](size_t begin, size_t end) {
+                       ops.gemm_rows(g, begin, end);
+                     });
+}
+
+}  // namespace
+
+void Gemm(const Matrix& a, const Matrix& b, Matrix* c, ThreadPool* pool,
+          const Matrix* bias, bool relu) {
   assert(a.cols() == b.rows());
   assert(c->rows() == a.rows() && c->cols() == b.cols());
-  c->Fill(0.0);
-  const size_t m = a.rows(), k = a.cols(), n = b.cols();
-  auto rows = [&a, &b, c, k, n](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const double* arow = a.row(i);
-      double* crow = c->row(i);
-      for (size_t p = 0; p < k; ++p) {
-        double av = arow[p];
-        if (av == 0.0) continue;  // one-hot inputs are mostly zero
-        const double* brow = b.row(p);
-        for (size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(m, RowChunk(k * n), rows);
-  } else {
-    rows(0, m);
-  }
+  assert(bias == nullptr || bias->size() == b.cols());
+  kernels::GemmArgs g;
+  g.a = a.data().data();
+  g.a_row = a.cols();
+  g.b = b.data().data();
+  g.c = c->data().data();
+  g.k = a.cols();
+  g.n = b.cols();
+  g.bias = bias != nullptr ? bias->data().data() : nullptr;
+  g.relu = relu;
+  RunGemm(g, a.rows(), pool);
 }
 
 void GemmTransA(const Matrix& a, const Matrix& b, Matrix* c, ThreadPool* pool) {
   assert(a.rows() == b.rows());
   assert(c->rows() == a.cols() && c->cols() == b.cols());
-  c->Fill(0.0);
-  const size_t k = a.rows(), m = a.cols(), n = b.cols();
-  // Partitioned over rows of C (columns of A); within a row the accumulation
-  // over p stays in ascending order, like the serial p-outer loop.
-  auto rows = [&a, &b, c, k, n](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      double* crow = c->row(i);
-      for (size_t p = 0; p < k; ++p) {
-        double av = a.row(p)[i];
-        if (av == 0.0) continue;
-        const double* brow = b.row(p);
-        for (size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(m, RowChunk(k * n), rows);
-  } else {
-    rows(0, m);
-  }
+  // Row i of C reads column i of A; the sum over p stays in ascending order.
+  kernels::GemmArgs g;
+  g.a = a.data().data();
+  g.a_row = 1;
+  g.a_col = a.cols();
+  g.b = b.data().data();
+  g.c = c->data().data();
+  g.k = a.rows();
+  g.n = b.cols();
+  RunGemm(g, a.cols(), pool);
 }
 
-void GemmTransB(const Matrix& a, const Matrix& b, Matrix* c, ThreadPool* pool) {
+void GemmTransB(const Matrix& a, const Matrix& b, Matrix* c, ThreadPool* pool,
+                Matrix* bt) {
   assert(a.cols() == b.cols());
   assert(c->rows() == a.rows() && c->cols() == b.rows());
-  const size_t m = a.rows(), k = a.cols(), n = b.rows();
-  auto rows = [&a, &b, c, k, n](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const double* arow = a.row(i);
-      double* crow = c->row(i);
-      for (size_t j = 0; j < n; ++j) {
+  Matrix local;
+  if (bt == nullptr) bt = &local;
+  bt->Resize(b.cols(), b.rows());
+  // In 8 x 8 blocks, so that reads and writes both stay in a few cache lines.
+  constexpr size_t kBlock = 8;
+  const size_t n = b.rows(), k = b.cols();
+  double* dst = bt->data().data();
+  for (size_t j0 = 0; j0 < n; j0 += kBlock) {
+    const size_t j1 = std::min(n, j0 + kBlock);
+    for (size_t p0 = 0; p0 < k; p0 += kBlock) {
+      const size_t p1 = std::min(k, p0 + kBlock);
+      for (size_t j = j0; j < j1; ++j) {
         const double* brow = b.row(j);
-        double acc = 0.0;
-        for (size_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-        crow[j] = acc;
+        for (size_t p = p0; p < p1; ++p) dst[p * n + j] = brow[p];
       }
     }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(m, RowChunk(k * n), rows);
-  } else {
-    rows(0, m);
   }
+  kernels::GemmArgs g;
+  g.a = a.data().data();
+  g.a_row = a.cols();
+  g.b = bt->data().data();
+  g.c = c->data().data();
+  g.k = a.cols();
+  g.n = b.rows();
+  g.skip_zero = false;
+  RunGemm(g, a.rows(), pool);
 }
 
 }  // namespace lpa::nn

@@ -11,7 +11,8 @@ namespace lpa::nn {
 /// \brief Dense row-major double matrix used by the neural network layers.
 ///
 /// Deliberately minimal: the Q-networks of the paper are two small hidden
-/// layers (128-64), so a cache-friendly naive GEMM is plenty.
+/// layers (128-64). Its products run on the register-tiled vector kernels of
+/// nn/kernels.h.
 class Matrix {
  public:
   Matrix() : rows_(0), cols_(0) {}
@@ -39,6 +40,14 @@ class Matrix {
 
   void Fill(double v) { std::fill(data_.begin(), data_.end(), v); }
 
+  /// \brief Reshape to rows x cols, reusing the buffer. Elements keep
+  /// whatever they held (new ones are zero): callers overwrite them all.
+  void Resize(size_t rows, size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+  }
+
   /// \brief Construct a 1 x n matrix from a vector (one input row).
   static Matrix FromRow(const std::vector<double>& v) {
     Matrix m(1, v.size());
@@ -57,22 +66,31 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// All three GEMMs optionally run on a thread pool. Work is partitioned over
-/// rows of C only, so each output element is accumulated by exactly one
-/// thread in the same index order as the serial loop — results are
-/// bit-identical at every thread count. Small products (fewer flops than one
-/// chunk is worth) run inline regardless of the pool.
+/// All three GEMMs overwrite C and optionally run on a thread pool. Every
+/// element C(i, j) is a sum over ascending p of separately rounded products,
+/// started from +0.0. Work is partitioned over rows of C only, so each
+/// output element is accumulated by exactly one thread in that order —
+/// results are bit-identical at every thread count and vector width. Small
+/// products (fewer flops than one chunk is worth) run inline regardless of
+/// the pool.
 
-/// \brief C = A * B (A: m x k, B: k x n). C must be pre-sized m x n.
+/// \brief C = A * B (A: m x k, B: k x n). C must be pre-sized m x n. Terms
+/// with A(i, p) == 0 are skipped (one-hot inputs are mostly zero). With
+/// `bias` ([1 x n]) each element becomes sum + bias(0, j), and with `relu`
+/// then v > 0 ? v : 0 — both applied as the element is stored.
 void Gemm(const Matrix& a, const Matrix& b, Matrix* c,
-          ThreadPool* pool = nullptr);
+          ThreadPool* pool = nullptr, const Matrix* bias = nullptr,
+          bool relu = false);
 
 /// \brief C = A^T * B (A: k x m, B: k x n). C must be pre-sized m x n.
+/// Terms with A(p, i) == 0 are skipped.
 void GemmTransA(const Matrix& a, const Matrix& b, Matrix* c,
                 ThreadPool* pool = nullptr);
 
-/// \brief C = A * B^T (A: m x k, B: n x k). C must be pre-sized m x n.
+/// \brief C = A * B^T (A: m x k, B: n x k). C must be pre-sized m x n. No
+/// term is skipped. The product runs on a transposed copy of B, kept in `bt`
+/// when given (reused across calls) and in a temporary otherwise.
 void GemmTransB(const Matrix& a, const Matrix& b, Matrix* c,
-                ThreadPool* pool = nullptr);
+                ThreadPool* pool = nullptr, Matrix* bt = nullptr);
 
 }  // namespace lpa::nn

@@ -1,7 +1,9 @@
 #include "nn/mlp.h"
 
 #include <cmath>
+#include <utility>
 
+#include "nn/kernels.h"
 #include "util/logging.h"
 
 namespace lpa::nn {
@@ -30,103 +32,115 @@ Mlp::Mlp(MlpConfig config) : config_(std::move(config)) {
   }
 }
 
-Matrix Mlp::ForwardTape(const Matrix& x, Tape* tape, ThreadPool* pool) const {
+void Mlp::LayerForward(size_t l, const Matrix& in, Matrix* out,
+                       ThreadPool* pool) const {
+  const Layer& layer = layers_[l];
+  out->Resize(in.rows(), layer.w.cols());
+  // ReLU on hidden layers, linear output.
+  Gemm(in, layer.w, out, pool, &layer.b, l + 1 < layers_.size());
+}
+
+const Matrix& Mlp::Forward(const Matrix& x, Matrix* buf_a, Matrix* buf_b,
+                           ThreadPool* pool) const {
   LPA_CHECK(static_cast<int>(x.cols()) == config_.input_dim);
-  Matrix a = x;
-  if (tape != nullptr) tape->activations.push_back(a);
-  for (size_t l = 0; l < layers_.size(); ++l) {
-    const Layer& layer = layers_[l];
-    Matrix z(a.rows(), layer.w.cols());
-    Gemm(a, layer.w, &z, pool);
-    for (size_t r = 0; r < z.rows(); ++r) {
-      for (size_t c = 0; c < z.cols(); ++c) z.at(r, c) += layer.b.at(0, c);
-    }
-    if (l + 1 < layers_.size()) {  // ReLU on hidden layers, linear output
-      for (double& v : z.data()) v = v > 0.0 ? v : 0.0;
-    }
-    a = std::move(z);
-    if (tape != nullptr) tape->activations.push_back(a);
+  LayerForward(0, x, buf_a, pool);
+  for (size_t l = 1; l < layers_.size(); ++l) {
+    LayerForward(l, *buf_a, buf_b, pool);
+    std::swap(buf_a, buf_b);
   }
-  return a;
+  return *buf_a;
 }
 
 Matrix Mlp::Forward(const Matrix& x, ThreadPool* pool) const {
-  return ForwardTape(x, nullptr, pool);
+  Matrix a, b;
+  const Matrix& out = Forward(x, &a, &b, pool);
+  return &out == &a ? std::move(a) : std::move(b);
 }
 
 std::vector<double> Mlp::Forward(const std::vector<double>& x) const {
   Matrix out = Forward(Matrix::FromRow(x));
-  return out.data();
+  return std::move(out.data());
 }
 
-namespace {
-/// Elements per chunk for the elementwise Adam / Polyak updates.
-constexpr size_t kElemChunk = 4096;
-}  // namespace
-
-void Mlp::AdamStep(Matrix* param, Matrix* m, Matrix* v, const Matrix& grad,
-                   double lr, ThreadPool* pool) {
-  const double b1 = config_.beta1, b2 = config_.beta2, eps = config_.epsilon;
-  double bias1 = 1.0 - std::pow(b1, static_cast<double>(adam_t_));
-  double bias2 = 1.0 - std::pow(b2, static_cast<double>(adam_t_));
-  auto elems = [param, m, v, &grad, b1, b2, eps, bias1, bias2,
-                lr](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      double g = grad.data()[i];
-      double& mi = m->data()[i];
-      double& vi = v->data()[i];
-      mi = b1 * mi + (1.0 - b1) * g;
-      vi = b2 * vi + (1.0 - b2) * g * g;
-      double mhat = mi / bias1;
-      double vhat = vi / bias2;
-      param->data()[i] -= lr * mhat / (std::sqrt(vhat) + eps);
-    }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(param->data().size(), kElemChunk, elems);
-  } else {
-    elems(0, param->data().size());
+const Matrix& Mlp::ForwardTape(const Matrix& x, ThreadPool* pool) {
+  LPA_CHECK(static_cast<int>(x.cols()) == config_.input_dim);
+  for (auto* buffers : {&ws_.out, &ws_.delta, &ws_.dw, &ws_.db, &ws_.wt}) {
+    buffers->resize(layers_.size());
   }
+  for (size_t l = 0; l < layers_.size(); ++l) {
+    LayerForward(l, l == 0 ? x : ws_.out[l - 1], &ws_.out[l], pool);
+  }
+  return ws_.out.back();
 }
 
-void Mlp::Backward(const Tape& tape, const Matrix& dloss, double lr,
-                   ThreadPool* pool) {
+void Mlp::Backward(const Matrix& x, double lr, ThreadPool* pool,
+                   SoftTarget soft) {
+  if (soft.net != nullptr) {
+    LPA_CHECK(soft.net != this && soft.net->layers_.size() == layers_.size());
+    for (size_t l = 0; l < layers_.size(); ++l) {
+      LPA_CHECK(soft.net->layers_[l].w.size() == layers_[l].w.size() &&
+                soft.net->layers_[l].b.size() == layers_[l].b.size());
+    }
+  }
   ++adam_t_;
-  Matrix delta = dloss;  // gradient w.r.t. the current layer's output
+  kernels::AdamArgs adam;
+  adam.b1 = config_.beta1;
+  adam.b2 = config_.beta2;
+  adam.eps = config_.epsilon;
+  adam.lr = lr;
+  adam.bias1 = 1.0 - std::pow(config_.beta1, static_cast<double>(adam_t_));
+  adam.bias2 = 1.0 - std::pow(config_.beta2, static_cast<double>(adam_t_));
+  adam.tau = soft.tau;
+  const kernels::Ops& ops = kernels::Active();
+  // One pass over a parameter matrix: Adam, then the target's Polyak update.
+  auto step = [&adam, &ops, pool](Matrix* param, Matrix* m, Matrix* v,
+                                  const Matrix& grad, Matrix* target) {
+    adam.param = param->data().data();
+    adam.m = m->data().data();
+    adam.v = v->data().data();
+    adam.grad = grad.data().data();
+    adam.target = target != nullptr ? target->data().data() : nullptr;
+    kernels::ForChunks(pool, param->size(), kernels::kElemChunk,
+                       [&adam, &ops](size_t begin, size_t end) {
+                         ops.adam(adam, begin, end);
+                       });
+  };
+
   for (size_t l = layers_.size(); l-- > 0;) {
     Layer& layer = layers_[l];
-    const Matrix& input = tape.activations[l];
-    // ReLU derivative for hidden layers (output layer is linear).
-    if (l + 1 < layers_.size()) {
-      const Matrix& out = tape.activations[l + 1];
-      for (size_t i = 0; i < delta.data().size(); ++i) {
-        if (out.data()[i] <= 0.0) delta.data()[i] = 0.0;
-      }
-    }
-    Matrix dw(layer.w.rows(), layer.w.cols());
+    Matrix& delta = ws_.delta[l];  // gradient w.r.t. this layer's output
+    const Matrix& input = l == 0 ? x : ws_.out[l - 1];
+    // One pass over delta: the ReLU derivative of hidden layers (the output
+    // layer is linear) and the bias gradient.
+    Matrix& db = ws_.db[l];
+    db.Resize(1, layer.b.cols());
+    ops.bias_grad(delta.data().data(),
+                  l + 1 < layers_.size() ? ws_.out[l].data().data() : nullptr,
+                  delta.rows(), delta.cols(), db.data().data());
+    Matrix& dw = ws_.dw[l];
+    dw.Resize(layer.w.rows(), layer.w.cols());
     GemmTransA(input, delta, &dw, pool);
-    Matrix db(1, layer.b.cols());
-    for (size_t r = 0; r < delta.rows(); ++r) {
-      for (size_t c = 0; c < delta.cols(); ++c) db.at(0, c) += delta.at(r, c);
+    if (l > 0) {  // from the weights before this step's update
+      Matrix& dprev = ws_.delta[l - 1];
+      dprev.Resize(delta.rows(), layer.w.rows());
+      GemmTransB(delta, layer.w, &dprev, pool, &ws_.wt[l]);
     }
-    Matrix dprev;
-    if (l > 0) {
-      dprev = Matrix(delta.rows(), layer.w.rows());
-      GemmTransB(delta, layer.w, &dprev, pool);
-    }
-    AdamStep(&layer.w, &layer.mw, &layer.vw, dw, lr, pool);
-    AdamStep(&layer.b, &layer.mb, &layer.vb, db, lr, pool);
-    delta = std::move(dprev);
+    Layer* target = soft.net != nullptr ? &soft.net->layers_[l] : nullptr;
+    step(&layer.w, &layer.mw, &layer.vw, dw,
+         target != nullptr ? &target->w : nullptr);
+    step(&layer.b, &layer.mb, &layer.vb, db,
+         target != nullptr ? &target->b : nullptr);
   }
 }
 
 double Mlp::TrainMaskedMse(const Matrix& x, const std::vector<int>& head,
                            const std::vector<double>& target, double lr,
-                           ThreadPool* pool) {
+                           ThreadPool* pool, SoftTarget soft) {
   LPA_CHECK(x.rows() == head.size() && x.rows() == target.size());
-  Tape tape;
-  Matrix pred = ForwardTape(x, &tape, pool);
-  Matrix dloss(pred.rows(), pred.cols());
+  const Matrix& pred = ForwardTape(x, pool);
+  Matrix& dloss = ws_.delta.back();
+  dloss.Resize(pred.rows(), pred.cols());
+  dloss.Fill(0.0);
   double loss = 0.0;
   double inv_batch = 1.0 / static_cast<double>(x.rows());
   for (size_t r = 0; r < x.rows(); ++r) {
@@ -136,17 +150,17 @@ double Mlp::TrainMaskedMse(const Matrix& x, const std::vector<int>& head,
     loss += err * err * inv_batch;
     dloss.at(r, static_cast<size_t>(h)) = 2.0 * err * inv_batch;
   }
-  Backward(tape, dloss, lr, pool);
+  Backward(x, lr, pool, soft);
   return loss;
 }
 
 double Mlp::TrainMse(const Matrix& x, const Matrix& target, double lr,
-                     ThreadPool* pool) {
+                     ThreadPool* pool, SoftTarget soft) {
   LPA_CHECK(x.rows() == target.rows());
-  Tape tape;
-  Matrix pred = ForwardTape(x, &tape, pool);
+  const Matrix& pred = ForwardTape(x, pool);
   LPA_CHECK(pred.cols() == target.cols());
-  Matrix dloss(pred.rows(), pred.cols());
+  Matrix& dloss = ws_.delta.back();
+  dloss.Resize(pred.rows(), pred.cols());
   double loss = 0.0;
   double inv = 1.0 / static_cast<double>(pred.size());
   for (size_t i = 0; i < pred.data().size(); ++i) {
@@ -154,29 +168,23 @@ double Mlp::TrainMse(const Matrix& x, const Matrix& target, double lr,
     loss += err * err * inv;
     dloss.data()[i] = 2.0 * err * inv;
   }
-  Backward(tape, dloss, lr, pool);
+  Backward(x, lr, pool, soft);
   return loss;
 }
 
 void Mlp::SoftUpdateFrom(const Mlp& src, double tau, ThreadPool* pool) {
   LPA_CHECK(layers_.size() == src.layers_.size());
+  const kernels::Ops& ops = kernels::Active();
   for (size_t l = 0; l < layers_.size(); ++l) {
     LPA_CHECK(layers_[l].w.size() == src.layers_[l].w.size());
-    Matrix& w = layers_[l].w;
-    const Matrix& sw = src.layers_[l].w;
-    auto blend = [tau](Matrix& dst, const Matrix& from, size_t begin,
-                       size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        dst.data()[i] = (1.0 - tau) * dst.data()[i] + tau * from.data()[i];
-      }
-    };
-    if (pool != nullptr) {
-      pool->ParallelFor(w.data().size(), kElemChunk,
-                        [&](size_t b, size_t e) { blend(w, sw, b, e); });
-    } else {
-      blend(w, sw, 0, w.data().size());
-    }
-    blend(layers_[l].b, src.layers_[l].b, 0, layers_[l].b.data().size());
+    double* w = layers_[l].w.data().data();
+    const double* sw = src.layers_[l].w.data().data();
+    kernels::ForChunks(pool, layers_[l].w.size(), kernels::kElemChunk,
+                       [&ops, w, sw, tau](size_t begin, size_t end) {
+                         ops.polyak(w, sw, tau, begin, end);
+                       });
+    ops.polyak(layers_[l].b.data().data(), src.layers_[l].b.data().data(),
+               tau, 0, layers_[l].b.size());
   }
 }
 

@@ -24,6 +24,17 @@ struct MlpConfig {
   double epsilon = 1e-8;
 };
 
+class Mlp;
+
+/// \brief A network that a training step Polyak-averages toward the updated
+/// weights, w_t = (1 - tau) * w_t + tau * w, in the same pass as Adam: the
+/// step then equals the step followed by net->SoftUpdateFrom(trained, tau).
+/// A null `net` skips it.
+struct SoftTarget {
+  Mlp* net = nullptr;
+  double tau = 0.0;
+};
+
 /// \brief Feed-forward ReLU network with a linear output layer, trained by
 /// minibatch SGD (Adam) on (possibly head-masked) squared error.
 ///
@@ -45,19 +56,27 @@ class Mlp {
   /// every thread count; pass nullptr for the serial path.
   Matrix Forward(const Matrix& x, ThreadPool* pool = nullptr) const;
 
+  /// \brief Batched forward pass into two caller-owned buffers, which are
+  /// resized in place (and so reused without allocating across calls).
+  /// Returns the output rows, held by one of the two.
+  const Matrix& Forward(const Matrix& x, Matrix* buf_a, Matrix* buf_b,
+                        ThreadPool* pool = nullptr) const;
+
   /// \brief Forward pass for a single input row.
   std::vector<double> Forward(const std::vector<double>& x) const;
 
   /// \brief One Adam step on masked squared error: for each row i only the
   /// output unit `head[i]` receives gradient `2*(pred - target[i])/batch`.
-  /// Returns the minibatch loss before the step.
+  /// Returns the minibatch loss before the step. The step reuses this
+  /// network's training workspace and allocates nothing once it has run at
+  /// the same batch size.
   double TrainMaskedMse(const Matrix& x, const std::vector<int>& head,
                         const std::vector<double>& target, double lr,
-                        ThreadPool* pool = nullptr);
+                        ThreadPool* pool = nullptr, SoftTarget soft = {});
 
   /// \brief One Adam step on full-output squared error. Returns the loss.
   double TrainMse(const Matrix& x, const Matrix& target, double lr,
-                  ThreadPool* pool = nullptr);
+                  ThreadPool* pool = nullptr, SoftTarget soft = {});
 
   /// \brief Polyak averaging toward `src`: w = (1 - tau) * w + tau * w_src.
   /// Both networks must share the architecture. (Table 1's target update.)
@@ -95,20 +114,41 @@ class Mlp {
     Matrix mw, vw, mb, vb;
   };
 
-  /// Activations of a forward pass kept for backprop.
-  struct Tape {
-    std::vector<Matrix> activations;  // per layer input, plus final output
+  /// Buffers of the training step, reused across steps; each is resized in
+  /// place and overwritten, never cleared. Forward, which several threads
+  /// may run on one network at once, uses none of them. A copy of the
+  /// network starts with an empty workspace: copies such as DqnPolicy
+  /// snapshots only run Forward.
+  struct Workspace {
+    Workspace() = default;
+    Workspace(const Workspace&) {}
+    Workspace& operator=(const Workspace&) { return *this; }
+    Workspace(Workspace&&) = default;
+    Workspace& operator=(Workspace&&) = default;
+
+    std::vector<Matrix> out;    // out[l]: layer l's output (the tape)
+    std::vector<Matrix> delta;  // delta[l]: loss gradient w.r.t. out[l]
+    std::vector<Matrix> dw;     // weight gradients
+    std::vector<Matrix> db;     // bias gradients
+    std::vector<Matrix> wt;     // wt[l]: layer l's weights, transposed
   };
 
-  Matrix ForwardTape(const Matrix& x, Tape* tape, ThreadPool* pool) const;
-  void Backward(const Tape& tape, const Matrix& dloss, double lr,
-                ThreadPool* pool);
-  void AdamStep(Matrix* param, Matrix* m, Matrix* v, const Matrix& grad,
-                double lr, ThreadPool* pool);
+  /// Layer l of the forward pass: out = act(in * w + b), with the bias and
+  /// the hidden layers' ReLU fused into the product's store.
+  void LayerForward(size_t l, const Matrix& in, Matrix* out,
+                    ThreadPool* pool) const;
+  /// Forward pass into the workspace tape (sizing the workspace for this
+  /// network); returns the output layer's rows.
+  const Matrix& ForwardTape(const Matrix& x, ThreadPool* pool);
+  /// Backpropagates the workspace's output gradient (delta.back()) and
+  /// takes one Adam step, with the Polyak update of `soft` fused in.
+  void Backward(const Matrix& x, double lr, ThreadPool* pool,
+                SoftTarget soft);
 
   MlpConfig config_;
   std::vector<Layer> layers_;
   int64_t adam_t_ = 0;
+  Workspace ws_;
 };
 
 }  // namespace lpa::nn

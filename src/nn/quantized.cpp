@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "nn/kernels.h"
 #include "util/logging.h"
 
 namespace lpa::nn {
@@ -27,16 +28,12 @@ int32_t QuantizeValue(double v, double scale, double qmax) {
 // --- Hot-path kernels with runtime SIMD dispatch ---------------------------
 //
 // The repo builds at the x86-64 baseline (SSE2), where the int8 GEMV's
-// widening byte loads stay scalar and nearbyint is a libm call — which made
-// the "fast path" slower than the SSE2-vectorized fp64 GEMM it replaces. The
-// two hot loops are therefore compiled a second time with the AVX2 target
-// attribute and selected once per process. Dispatch cannot change results:
-// integer accumulation is exact in any vector width, and vroundpd implements
-// exactly the nearest-even rounding of std::nearbyint.
-
-#if defined(__GNUC__) && defined(__x86_64__) && !defined(__clang__)
-#define LPA_QUANT_AVX2 1
-#endif
+// widening byte loads stay scalar and nearbyint is a libm call. The three hot
+// loops are therefore compiled a second time with the AVX2 target attribute
+// and selected by the CPU probe of nn/kernels.h, which also picks the
+// variant of the fp64 kernels. Dispatch cannot change results: integer
+// accumulation is exact in any vector width, and vroundpd implements exactly
+// the nearest-even rounding of std::nearbyint.
 
 inline __attribute__((always_inline)) void QuantizeRowBody(
     const double* a, size_t n, double inv, double qmax, int32_t* qa) {
@@ -68,7 +65,7 @@ inline __attribute__((always_inline)) void Int16GemvBody(
   }
 }
 
-#ifdef LPA_QUANT_AVX2
+#ifdef LPA_NN_X86_DISPATCH
 __attribute__((target("avx2"))) void QuantizeRowAvx2(
     const double* a, size_t n, double inv, double qmax, int32_t* qa) {
   QuantizeRowBody(a, n, inv, qmax, qa);
@@ -81,32 +78,34 @@ __attribute__((target("avx2"))) void Int16GemvAvx2(
     const int32_t* qa, const int16_t* w, size_t in, size_t out, int64_t* acc) {
   Int16GemvBody(qa, w, in, out, acc);
 }
-bool HaveAvx2() {
-  static const bool have = __builtin_cpu_supports("avx2");
-  return have;
-}
 #endif
 
 void QuantizeRow(const double* a, size_t n, double inv, double qmax,
                  int32_t* qa) {
-#ifdef LPA_QUANT_AVX2
-  if (HaveAvx2()) return QuantizeRowAvx2(a, n, inv, qmax, qa);
+#ifdef LPA_NN_X86_DISPATCH
+  if (kernels::CpuSupports(kernels::Isa::kAvx2)) {
+    return QuantizeRowAvx2(a, n, inv, qmax, qa);
+  }
 #endif
   QuantizeRowBody(a, n, inv, qmax, qa);
 }
 
 void Int8Gemv(const int32_t* qa, const int8_t* w, size_t in, size_t out,
               int32_t* acc) {
-#ifdef LPA_QUANT_AVX2
-  if (HaveAvx2()) return Int8GemvAvx2(qa, w, in, out, acc);
+#ifdef LPA_NN_X86_DISPATCH
+  if (kernels::CpuSupports(kernels::Isa::kAvx2)) {
+    return Int8GemvAvx2(qa, w, in, out, acc);
+  }
 #endif
   Int8GemvBody(qa, w, in, out, acc);
 }
 
 void Int16Gemv(const int32_t* qa, const int16_t* w, size_t in, size_t out,
                int64_t* acc) {
-#ifdef LPA_QUANT_AVX2
-  if (HaveAvx2()) return Int16GemvAvx2(qa, w, in, out, acc);
+#ifdef LPA_NN_X86_DISPATCH
+  if (kernels::CpuSupports(kernels::Isa::kAvx2)) {
+    return Int16GemvAvx2(qa, w, in, out, acc);
+  }
 #endif
   Int16GemvBody(qa, w, in, out, acc);
 }

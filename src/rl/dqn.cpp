@@ -191,71 +191,80 @@ double DqnAgent::TrainStep(Rng* rng, ThreadPool* pool) {
 double DqnAgent::TrainStepFrom(const ReplayBuffer& replay, Rng* rng,
                                ThreadPool* pool) {
   if (replay.size() < static_cast<size_t>(config_.batch_size)) return 0.0;
-  auto batch = replay.Sample(static_cast<size_t>(config_.batch_size), rng);
+  LearnerScratch& ls = scratch_;
+  replay.Sample(static_cast<size_t>(config_.batch_size), rng, &ls.batch);
+  const auto& batch = ls.batch;
+  const size_t state_dim = static_cast<size_t>(featurizer_->state_dim());
+  for (const Transition* t : batch) {
+    LPA_CHECK(t->state_enc.size() == state_dim &&
+              t->next_enc.size() == state_dim);
+  }
 
   // Compute TD targets r + gamma * max_a' Q_target(s', a') — one stacked
   // matrix pass per minibatch in either network mode.
-  std::vector<double> targets(batch.size());
+  ls.targets.resize(batch.size());
   if (config_.mode == QNetworkMode::kMultiHead) {
-    nn::Matrix next(batch.size(), static_cast<size_t>(featurizer_->state_dim()));
+    ls.x.Resize(batch.size(), state_dim);
     for (size_t i = 0; i < batch.size(); ++i) {
       std::copy(batch[i]->next_enc.begin(), batch[i]->next_enc.end(),
-                next.row(i));
+                ls.x.row(i));
     }
-    nn::Matrix next_q = target_->Forward(next, pool);
+    const nn::Matrix& next_q =
+        target_->Forward(ls.x, &ls.fwd_a, &ls.fwd_b, pool);
     for (size_t i = 0; i < batch.size(); ++i) {
       double best = -1e30;
       for (int a : batch[i]->next_legal) {
         best = std::max(best, next_q.at(i, static_cast<size_t>(a)));
       }
-      targets[i] = batch[i]->reward + config_.gamma * best;
+      ls.targets[i] = batch[i]->reward + config_.gamma * best;
     }
   } else {
     // Stack every transition's legal next-actions into ONE GEMM instead of a
     // forward pass per transition. Row r of the stacked output is
     // bit-identical to the per-transition forward (the GEMM accumulates each
     // row independently in a fixed order), so the targets are unchanged.
-    std::vector<size_t> offset(batch.size() + 1, 0);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      offset[i + 1] = offset[i] + batch[i]->next_legal.size();
-    }
-    nn::Matrix rows(offset.back(), static_cast<size_t>(InputDim()));
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const auto& legal = batch[i]->next_legal;
-      for (size_t j = 0; j < legal.size(); ++j) {
-        FillStateAction(batch[i]->next_enc, legal[j],
-                        rows.row(offset[i] + j));
+    size_t stacked = 0;
+    for (const Transition* t : batch) stacked += t->next_legal.size();
+    ls.x.Resize(stacked, static_cast<size_t>(InputDim()));
+    size_t row = 0;
+    for (const Transition* t : batch) {
+      for (int a : t->next_legal) {
+        FillStateAction(t->next_enc, a, ls.x.row(row++));
       }
     }
-    nn::Matrix out = target_->Forward(rows, pool);
+    const nn::Matrix& out = target_->Forward(ls.x, &ls.fwd_a, &ls.fwd_b, pool);
+    row = 0;
     for (size_t i = 0; i < batch.size(); ++i) {
       double best = -1e30;
-      for (size_t j = offset[i]; j < offset[i + 1]; ++j) {
-        best = std::max(best, out.at(j, 0));
+      for (size_t j = 0; j < batch[i]->next_legal.size(); ++j) {
+        best = std::max(best, out.at(row++, 0));
       }
-      targets[i] = batch[i]->reward + config_.gamma * best;
+      ls.targets[i] = batch[i]->reward + config_.gamma * best;
     }
   }
 
+  // The soft target update rides in the Q-network's parameter pass.
+  const nn::SoftTarget soft{target_.get(), config_.tau};
   double loss = 0.0;
   if (config_.mode == QNetworkMode::kMultiHead) {
-    nn::Matrix x(batch.size(), static_cast<size_t>(featurizer_->state_dim()));
-    std::vector<int> heads(batch.size());
+    ls.x.Resize(batch.size(), state_dim);
+    ls.heads.resize(batch.size());
     for (size_t i = 0; i < batch.size(); ++i) {
-      std::copy(batch[i]->state_enc.begin(), batch[i]->state_enc.end(), x.row(i));
-      heads[i] = batch[i]->action_id;
+      std::copy(batch[i]->state_enc.begin(), batch[i]->state_enc.end(),
+                ls.x.row(i));
+      ls.heads[i] = batch[i]->action_id;
     }
-    loss = q_->TrainMaskedMse(x, heads, targets, config_.learning_rate, pool);
+    loss = q_->TrainMaskedMse(ls.x, ls.heads, ls.targets,
+                              config_.learning_rate, pool, soft);
   } else {
-    nn::Matrix x(batch.size(), static_cast<size_t>(InputDim()));
-    nn::Matrix y(batch.size(), 1);
+    ls.x.Resize(batch.size(), static_cast<size_t>(InputDim()));
+    ls.y.Resize(batch.size(), 1);
     for (size_t i = 0; i < batch.size(); ++i) {
-      FillStateAction(batch[i]->state_enc, batch[i]->action_id, x.row(i));
-      y.at(i, 0) = targets[i];
+      FillStateAction(batch[i]->state_enc, batch[i]->action_id, ls.x.row(i));
+      ls.y.at(i, 0) = ls.targets[i];
     }
-    loss = q_->TrainMse(x, y, config_.learning_rate, pool);
+    loss = q_->TrainMse(ls.x, ls.y, config_.learning_rate, pool, soft);
   }
-  target_->SoftUpdateFrom(*q_, config_.tau, pool);
   auto& dm = DqnMetrics::Get();
   dm.train_steps.Add();
   dm.loss.Set(loss);

@@ -19,15 +19,21 @@ void ReplayBuffer::Add(Transition t) {
 
 std::vector<const Transition*> ReplayBuffer::Sample(size_t count,
                                                     Rng* rng) const {
-  LPA_CHECK(!buffer_.empty());
   std::vector<const Transition*> result;
-  result.reserve(count);
+  Sample(count, rng, &result);
+  return result;
+}
+
+void ReplayBuffer::Sample(size_t count, Rng* rng,
+                          std::vector<const Transition*>* out) const {
+  LPA_CHECK(!buffer_.empty());
+  out->clear();
+  out->reserve(count);
   for (size_t i = 0; i < count; ++i) {
     size_t idx = static_cast<size_t>(
         rng->UniformInt(0, static_cast<int64_t>(buffer_.size()) - 1));
-    result.push_back(&buffer_[idx]);
+    out->push_back(&buffer_[idx]);
   }
-  return result;
 }
 
 bool ReplayShard::TryPush(Transition t) {

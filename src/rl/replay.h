@@ -31,6 +31,10 @@ class ReplayBuffer {
 
   /// \brief Sample `count` transitions uniformly with replacement.
   std::vector<const Transition*> Sample(size_t count, Rng* rng) const;
+  /// \brief The same draws into `out` (cleared first; its capacity is
+  /// reused).
+  void Sample(size_t count, Rng* rng,
+              std::vector<const Transition*>* out) const;
 
   /// \brief Direct access for tests (index is storage order, not age order).
   const Transition& at(size_t i) const { return buffer_[i]; }

@@ -4,7 +4,7 @@
 #
 #   $ tools/check.sh                 # ASan+UBSan (default)
 #   $ tools/check.sh tsan            # ThreadSanitizer on the threaded tests
-#   $ tools/check.sh perf            # Release micro-bench: planner + incremental costing
+#   $ tools/check.sh perf            # Release micro-bench: planner, learner, perf kernels
 #   $ tools/check.sh serve           # TSan serving tests + loadgen smoke
 #   $ tools/check.sh fleet           # TSan fleet tests + 100-tenant smoke
 #   $ tools/check.sh autopilot       # TSan autopilot tests + bench smoke
@@ -57,11 +57,13 @@
 #
 # The train preset builds the actor/learner pipeline tests (actor_learner_test
 # runs the deterministic digest checks at 1, 2, and 8 actor threads plus the
-# SPSC shard and fast-mode interleavings TSan exists for), rl_test, and
-# quantized_test under TSan, runs them, then drives the training kernel of
-# bench_micro_components, which re-asserts bit-identical reward and weight
-# digests at 1/2/8 threads and writes BENCH_training.json to $LPA_METRICS_DIR
-# (or build-tsan).
+# SPSC shard and fast-mode interleavings TSan exists for), rl_test,
+# quantized_test, the learner's golden test (forward, weight and loss digests
+# at 1 and 4 threads) and the per-variant kernel test (every compiled SIMD
+# variant of the nn/ kernels against the scalar loops, bit for bit) under
+# TSan, runs them, then drives the training kernel of bench_micro_components,
+# which re-asserts bit-identical reward and weight digests at 1/2/8 threads
+# and writes BENCH_training.json to $LPA_METRICS_DIR (or build-tsan).
 #
 # The search preset builds the design-search subsystem (src/search/) under
 # ASan+UBSan and runs search_test (DP (1+ε) certificate vs exhaustive
@@ -73,13 +75,17 @@
 # non-zero on violation.
 # The gates assert digests and counters; wall-clock columns are informational.
 #
-# The perf preset builds Release into build-perf and runs bench_micro_components
-# with only the cost-model planner google benchmarks (BM_CostModelPlan*),
-# followed by its post-benchmark kernels: the workload-cost kernel (full
-# recompute vs incremental delta costing) and the engine kernel
-# (pool-parallel ExecuteWorkload at 1/2/8 threads with bit-identity digest
-# checks). BENCH_micro_components.json and BENCH_engine.json land in
-# $LPA_METRICS_DIR (or build-perf).
+# The perf preset builds Release into build-perf, checks that the lpa_nn
+# archive contains no fused multiply-add (vfmadd/vfmsub/vfnmadd/vfnmsub: one
+# would round differently from the separate multiply and add that every
+# trained weight depends on), and runs bench_micro_components with the
+# cost-model planner benchmarks (BM_CostModelPlan*), the learner benchmarks
+# (BM_DqnTrainStep* on SSB and TPC-CH, serial and on a 4-thread pool, and
+# BM_MlpForward128x64), followed by its post-benchmark kernels: the
+# workload-cost kernel (full recompute vs incremental delta costing) and the
+# engine kernel (pool-parallel ExecuteWorkload at 1/2/8 threads with
+# bit-identity digest checks). BENCH_micro_components.json and
+# BENCH_engine.json land in $LPA_METRICS_DIR (or build-perf).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -92,9 +98,16 @@ if [[ "${PRESET}" == "perf" ]]; then
   cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
   echo "== build bench_micro_components =="
   cmake --build "${BUILD_DIR}" -j "${JOBS}" --target bench_micro_components
-  echo "== planner benchmarks + perf kernels: workload-cost (full vs incremental) + engine (pool-parallel) =="
+  echo "== no fused multiply-add in lpa_nn =="
+  objdump -d "${BUILD_DIR}/src/nn/liblpa_nn.a" > "${BUILD_DIR}/lpa_nn.dis"
+  if grep -E 'vfn?m(add|sub)' "${BUILD_DIR}/lpa_nn.dis"; then
+    echo "== FAIL: lpa_nn contains FMA instructions (see above) =="
+    exit 1
+  fi
+  echo "== planner + learner benchmarks + perf kernels: workload-cost (full vs incremental) + engine (pool-parallel) =="
   LPA_METRICS_DIR="${LPA_METRICS_DIR:-${BUILD_DIR}}" \
-    "${BUILD_DIR}/bench/bench_micro_components" --benchmark_filter=CostModelPlan
+    "${BUILD_DIR}/bench/bench_micro_components" \
+      --benchmark_filter='CostModelPlan|DqnTrainStep|MlpForward'
   echo "== OK: matching digests above = bit-identical results; see BENCH_engine.json =="
   exit 0
 fi
@@ -185,13 +198,14 @@ if [[ "${PRESET}" == "train" ]]; then
   echo "== configure (${BUILD_DIR}, -fsanitize=thread) =="
   cmake -B "${BUILD_DIR}" -S . -DLPA_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
-  echo "== build actor_learner_test + rl_test + quantized_test + bench =="
+  echo "== build actor_learner_test + rl_test + quantized_test + learner tests + bench =="
   cmake --build "${BUILD_DIR}" -j "${JOBS}" --target actor_learner_test \
-    rl_test quantized_test bench_micro_components
-  echo "== actor/learner + rl + quantized tests (TSan, 1/2/8 actor threads) =="
+    rl_test quantized_test learner_golden_test nn_kernels_test \
+    bench_micro_components
+  echo "== actor/learner + rl + quantized + learner tests (TSan, 1/2/8 actor threads) =="
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir "${BUILD_DIR}" --output-on-failure \
-      -R 'actor_learner_test|rl_test|quantized_test'
+      -R 'actor_learner_test|rl_test|quantized_test|learner_golden_test|nn_kernels_test'
   echo "== training kernel: digest equality at 1/2/8 threads + fast mode =="
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
   LPA_METRICS_DIR="${LPA_METRICS_DIR:-${BUILD_DIR}}" \
