@@ -407,6 +407,13 @@ size_t ClusterDatabase::TableRows(schema::TableId t) const {
   return data_.table(t).num_rows();
 }
 
+const storage::TableData* ClusterDatabase::shard(schema::TableId t,
+                                                 int node) const {
+  const auto& shards = placements_.at(static_cast<size_t>(t)).shards;
+  if (node < 0 || static_cast<size_t>(node) >= shards.size()) return nullptr;
+  return &shards[static_cast<size_t>(node)];
+}
+
 std::shared_ptr<const costmodel::QueryPlan> ClusterDatabase::PlanFor(
     const workload::QuerySpec& query) const {
   auto& em = EngineMetrics::Get();

@@ -112,6 +112,12 @@ class ClusterDatabase {
   /// \brief Rows currently materialized in a table (across shards).
   size_t TableRows(schema::TableId t) const;
 
+  /// \brief The master tables (sealed when `encode_storage`).
+  const storage::Database& database() const { return data_; }
+  /// \brief Shard `node` of table `t` as the last placement left it, or
+  /// nullptr while `t` is replicated or not yet placed.
+  const storage::TableData* shard(schema::TableId t, int node) const;
+
   /// \brief Heap bytes currently resident across master tables and shards
   /// (encoded bytes when `encode_storage`; plain bytes otherwise).
   size_t storage_resident_bytes() const;
