@@ -12,6 +12,7 @@ void TableData::Seal() {
     col.shrink_to_fit();
   }
   encoded_.push_back(EncodedColumn::Encode(rids_));
+  EncodedColumn::ReleaseScratch();
   rids_.clear();
   rids_.shrink_to_fit();
   sealed_ = true;
