@@ -1,6 +1,7 @@
 #include "nn/mlp.h"
 
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "nn/kernels.h"
@@ -247,6 +248,17 @@ Status Mlp::Save(std::ostream& os) const {
   return Status::OK();
 }
 
+namespace {
+
+/// Header limits, far above any network the advisor builds (two hidden
+/// layers of 128 and 64 units, a few hundred inputs and outputs), so a
+/// corrupt or hostile header is refused before it sizes an allocation.
+constexpr size_t kMaxHiddenLayers = 16;
+constexpr int kMaxLayerWidth = 1 << 14;
+constexpr uint64_t kMaxWeights = uint64_t{1} << 22;
+
+}  // namespace
+
 Result<Mlp> Mlp::Load(std::istream& is) {
   std::string magic;
   is >> magic;
@@ -254,10 +266,35 @@ Result<Mlp> Mlp::Load(std::istream& is) {
   MlpConfig config;
   size_t num_hidden = 0;
   is >> config.input_dim >> num_hidden;
+  if (!is.good()) return Status::InvalidArgument("truncated mlp header");
+  if (num_hidden > kMaxHiddenLayers) {
+    return Status::InvalidArgument("mlp header: more than " +
+                                   std::to_string(kMaxHiddenLayers) +
+                                   " hidden layers");
+  }
   config.hidden.resize(num_hidden);
   for (auto& h : config.hidden) is >> h;
   is >> config.output_dim >> config.seed;
   if (!is.good()) return Status::InvalidArgument("truncated mlp header");
+  std::vector<int> widths = {config.input_dim};
+  widths.insert(widths.end(), config.hidden.begin(), config.hidden.end());
+  widths.push_back(config.output_dim);
+  uint64_t weights = 0;
+  for (size_t l = 0; l < widths.size(); ++l) {
+    if (widths[l] <= 0 || widths[l] > kMaxLayerWidth) {
+      return Status::InvalidArgument(
+          "mlp header: layer width " + std::to_string(widths[l]) +
+          " outside [1, " + std::to_string(kMaxLayerWidth) + "]");
+    }
+    if (l > 0) {
+      weights += static_cast<uint64_t>(widths[l - 1] + 1) *
+                 static_cast<uint64_t>(widths[l]);
+    }
+  }
+  if (weights > kMaxWeights) {
+    return Status::InvalidArgument("mlp header: more than " +
+                                   std::to_string(kMaxWeights) + " weights");
+  }
   Mlp mlp(config);
   for (auto& layer : mlp.layers_) {
     for (double& v : layer.w.data()) is >> v;

@@ -135,6 +135,27 @@ TEST_F(FeaturesTest, SnapshotRejectsUnsupportedFormatVersion) {
   EXPECT_NE(status.message().find("version"), std::string::npos);
 }
 
+TEST_F(FeaturesTest, SnapshotRejectsMalformedNetworkHeaders) {
+  // Network headers of a corrupt snapshot: a negative input width, a
+  // negative hidden width and an absurd hidden-layer count. Each is refused
+  // with InvalidArgument before the network is built, and the process (and
+  // the agent) carry on.
+  PartitioningAdvisor advisor(&schema_, workload_, FastConfig());
+  for (const char* header :
+       {"mlp -5 1 4 2 42", "mlp 3 1 -4 2 42", "mlp 3 4000000000000"}) {
+    std::stringstream snapshot(std::string(kSnapshotMagic) +
+                               " 1\ndqn-agent 0.5\n" + header + " 0 0 0\n");
+    const Status status = LoadAgentSnapshot(snapshot, advisor.agent());
+    EXPECT_EQ(status.code(), Status::Code::kInvalidArgument)
+        << header << ": " << status.ToString();
+    EXPECT_NE(status.message().find("mlp header"), std::string::npos)
+        << header << ": " << status.ToString();
+  }
+  std::stringstream snapshot;
+  ASSERT_TRUE(SaveAgentSnapshot(*advisor.agent(), snapshot).ok());
+  EXPECT_TRUE(LoadAgentSnapshot(snapshot, advisor.agent()).ok());
+}
+
 TEST_F(FeaturesTest, SnapshotRejectsEmptyStream) {
   PartitioningAdvisor advisor(&schema_, workload_, FastConfig());
   std::stringstream empty;
