@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <optional>
 #include <span>
 
 #include "util/hash.h"
@@ -125,25 +125,21 @@ void Database::GenerateRows(schema::TableId t, size_t count, Rng* rng) {
   TableData& data = tables_[static_cast<size_t>(t)];
   data.Reserve(data.num_rows() + count);
 
-  // Per-column Zipf samplers (only built for skewed, small-domain columns).
-  std::map<schema::ColumnId, ZipfSampler> zipf;
+  // Per-column Zipf samplers, indexed by column (only built for skewed,
+  // small-domain columns; the others draw uniformly).
+  std::vector<std::optional<ZipfSampler>> zipf(table.columns.size());
   for (size_t c = 0; c < table.columns.size(); ++c) {
     const auto& col = table.columns[c];
     if (col.zipf_theta > 0.0 && col.distinct_count <= 1'000'000) {
-      zipf.emplace(static_cast<schema::ColumnId>(c),
-                   ZipfSampler(col.distinct_count, col.zipf_theta));
+      zipf[c].emplace(col.distinct_count, col.zipf_theta);
     }
   }
 
   std::vector<int64_t> values(table.columns.size());
   for (size_t i = 0; i < count; ++i) {
     for (size_t c = 0; c < table.columns.size(); ++c) {
-      auto it = zipf.find(static_cast<schema::ColumnId>(c));
-      if (it != zipf.end()) {
-        values[c] = it->second.Sample(rng);
-      } else {
-        values[c] = rng->UniformInt(1, table.columns[c].distinct_count);
-      }
+      values[c] = zipf[c] ? zipf[c]->Sample(rng)
+                          : rng->UniformInt(1, table.columns[c].distinct_count);
     }
     for (const auto& group : groups) {
       const TableData& parent = tables_[static_cast<size_t>(group.parent)];
