@@ -1,7 +1,7 @@
 // Component microbenchmarks (google-benchmark): throughput guardrails for
 // the library's hot paths — cost-model planning, featurization, NN forward/
-// train, engine execution, and data generation — plus three kernels run
-// after the google benchmarks: a workload-cost kernel comparing full
+// train, engine execution, data generation and sealing — plus three kernels
+// run after the google benchmarks: a workload-cost kernel comparing full
 // recompute against incremental delta costing (BENCH_micro_components.json),
 // a storage kernel measuring encode/decode throughput and per-column
 // compression (BENCH_storage.json), and an engine kernel measuring
@@ -228,6 +228,28 @@ void BM_GenerateSsbDatabase(benchmark::State& s) {
   }
 }
 BENCHMARK(BM_GenerateSsbDatabase);
+
+/// Seals the SSB fact table at serve_ssb's fraction (600k rows) from plain
+/// columns: the master seal that dominates the testbed's set-up.
+void BM_SealSsbFactTable(benchmark::State& s) {
+  auto& f = Ssb();
+  storage::GenerationConfig gen;
+  gen.fraction = bench::DefaultFraction("ssb");
+  gen.small_table_threshold = 64;
+  gen.seed = 5;
+  const storage::Database db = storage::Database::Generate(f.schema, f.wl, gen);
+  const storage::TableData& fact = db.table(f.schema.TableIndex("lineorder"));
+  for (auto _ : s) {
+    s.PauseTiming();
+    storage::TableData table = fact;
+    s.ResumeTiming();
+    table.Seal();
+    benchmark::DoNotOptimize(table);
+  }
+  s.SetBytesProcessed(static_cast<int64_t>(s.iterations()) *
+                      static_cast<int64_t>(fact.raw_bytes()));
+}
+BENCHMARK(BM_SealSsbFactTable)->Unit(benchmark::kMillisecond);
 
 void BM_RepartitionFactTable(benchmark::State& s) {
   auto& f = Ssb();

@@ -48,12 +48,16 @@
 # counters and recovery ratios are asserted, never wall-clock throughput.
 #
 # The storage preset builds the compressed-storage surface under ASan+UBSan
-# and runs storage_test + engine_exec_test — together they are the
-# compression smoke: every encoding round-trips property-tested inputs, the
-# testbeds compress >= 2x, and EncodedExecTest compares the encoded engine
-# against an uncompressed cluster with exact equality on every QueryRunStats
-# field at 1/2/8 threads (plus the encoded-pricing and BulkAppend re-seal
-# paths). Bit-packing is exactly the kind of code UBSan exists for.
+# and runs storage_test + engine_exec_test + encoder_golden_test — together
+# they are the compression smoke: every encoding round-trips property-tested
+# inputs (both sides of the dictionary cap included), the testbeds compress
+# >= 2x, the golden encoder test pins the encoding and bytes of every master
+# and shard the SSB, TPC-CH and TPC-DS testbeds seal and checks the encoder
+# against the reference copy of the previous one, and EncodedExecTest
+# compares the encoded engine against an uncompressed cluster with exact
+# equality on every QueryRunStats field at 1/2/8 threads (plus the
+# encoded-pricing and BulkAppend re-seal paths). Bit-packing is exactly the
+# kind of code UBSan exists for.
 #
 # The train preset builds the actor/learner pipeline tests (actor_learner_test
 # runs the deterministic digest checks at 1, 2, and 8 actor threads plus the
@@ -81,10 +85,13 @@
 # trained weight depends on), and runs bench_micro_components with the
 # cost-model planner benchmarks (BM_CostModelPlan*), the learner benchmarks
 # (BM_DqnTrainStep* on SSB and TPC-CH, serial and on a 4-thread pool, and
-# BM_MlpForward128x64), followed by its post-benchmark kernels: the
-# workload-cost kernel (full recompute vs incremental delta costing) and the
-# engine kernel (pool-parallel ExecuteWorkload at 1/2/8 threads with
-# bit-identity digest checks). BENCH_micro_components.json and
+# BM_MlpForward128x64) and the storage benchmarks (BM_GenerateSsbDatabase,
+# BM_SealSsbFactTable, BM_RepartitionFactTable), followed by its
+# post-benchmark kernels: the workload-cost kernel (full recompute vs
+# incremental delta costing), the storage kernel (encode/decode MB/s per
+# encoding and per-column compression) and the engine kernel
+# (pool-parallel ExecuteWorkload at 1/2/8 threads with bit-identity digest
+# checks). BENCH_micro_components.json, BENCH_storage.json and
 # BENCH_engine.json land in $LPA_METRICS_DIR (or build-perf).
 set -euo pipefail
 
@@ -104,10 +111,10 @@ if [[ "${PRESET}" == "perf" ]]; then
     echo "== FAIL: lpa_nn contains FMA instructions (see above) =="
     exit 1
   fi
-  echo "== planner + learner benchmarks + perf kernels: workload-cost (full vs incremental) + engine (pool-parallel) =="
+  echo "== planner + learner + storage benchmarks + perf kernels: workload-cost (full vs incremental) + storage + engine (pool-parallel) =="
   LPA_METRICS_DIR="${LPA_METRICS_DIR:-${BUILD_DIR}}" \
     "${BUILD_DIR}/bench/bench_micro_components" \
-      --benchmark_filter='CostModelPlan|DqnTrainStep|MlpForward'
+      --benchmark_filter='CostModelPlan|DqnTrainStep|MlpForward|Seal|RepartitionFactTable|GenerateSsb'
   echo "== OK: matching digests above = bit-identical results; see BENCH_engine.json =="
   exit 0
 fi
@@ -181,15 +188,15 @@ if [[ "${PRESET}" == "storage" ]]; then
   echo "== configure (${BUILD_DIR}, -fsanitize=address,undefined) =="
   cmake -B "${BUILD_DIR}" -S . -DLPA_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
-  echo "== build storage_test + engine_exec_test =="
+  echo "== build storage_test + engine_exec_test + encoder_golden_test =="
   cmake --build "${BUILD_DIR}" -j "${JOBS}" --target storage_test \
-    engine_exec_test
-  echo "== storage + engine tests (ASan+UBSan), incl. compression smoke =="
+    engine_exec_test encoder_golden_test
+  echo "== storage + engine + encoder tests (ASan+UBSan), incl. compression smoke =="
   ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=0}" \
   UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \
     ctest --test-dir "${BUILD_DIR}" --output-on-failure \
-      -R 'storage_test|engine_exec_test'
-  echo "== OK: encodings round-trip, >=2x compression, encoded engine bit-identical =="
+      -R 'storage_test|engine_exec_test|encoder_golden_test'
+  echo "== OK: encodings round-trip, golden encoder bytes, >=2x compression, encoded engine bit-identical =="
   exit 0
 fi
 if [[ "${PRESET}" == "train" ]]; then
