@@ -156,6 +156,23 @@ TEST_F(FeaturesTest, SnapshotRejectsMalformedNetworkHeaders) {
   EXPECT_TRUE(LoadAgentSnapshot(snapshot, advisor.agent()).ok());
 }
 
+TEST_F(FeaturesTest, SnapshotRefusesDivergedAgent) {
+  // Adam moves each weight by about the learning rate per step, so this one
+  // overflows the Q-network. Its snapshot is refused when taken, instead of
+  // being written as one that no load would accept.
+  AdvisorConfig config = FastConfig();
+  config.dqn.learning_rate = 1e300;
+  config.offline_episodes = 8;
+  PartitioningAdvisor advisor(&schema_, workload_, config);
+  advisor.TrainOffline(&model_);
+  std::stringstream snapshot;
+  const Status status = SaveAgentSnapshot(*advisor.agent(), snapshot);
+  EXPECT_EQ(status.code(), Status::Code::kFailedPrecondition)
+      << status.ToString();
+  EXPECT_NE(status.message().find("non-finite weight"), std::string::npos)
+      << status.ToString();
+}
+
 TEST_F(FeaturesTest, SnapshotRejectsEmptyStream) {
   PartitioningAdvisor advisor(&schema_, workload_, FastConfig());
   std::stringstream empty;

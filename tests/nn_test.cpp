@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "nn/matrix.h"
 #include "util/rng.h"
@@ -200,6 +202,71 @@ TEST(MlpTest, SaveLoadRoundTrip) {
 TEST(MlpTest, LoadRejectsGarbage) {
   std::stringstream ss("not an mlp");
   EXPECT_FALSE(Mlp::Load(ss).ok());
+}
+
+/// A trained 5-12-6-2 network's Save stream, with its first weight replaced
+/// by `token`.
+std::string StreamWithFirstWeight(const std::string& token) {
+  MlpConfig config;
+  config.input_dim = 5;
+  config.hidden = {12, 6};
+  config.output_dim = 2;
+  std::stringstream ss;
+  EXPECT_TRUE(Mlp(config).Save(ss).ok());
+  std::string text = ss.str();
+  const size_t begin = text.find('\n') + 1;
+  const size_t end = text.find(' ', begin);
+  return text.replace(begin, end - begin, token);
+}
+
+TEST(MlpTest, LoadRejectsNonFiniteWeights) {
+  for (const char* token : {"nan", "inf", "-inf", "1e309"}) {
+    std::stringstream ss(StreamWithFirstWeight(token));
+    const auto loaded = Mlp::Load(ss);
+    ASSERT_FALSE(loaded.ok()) << token;
+    EXPECT_EQ(loaded.status().code(), Status::Code::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find("mlp layer 0: non-finite weight"),
+              std::string::npos)
+        << token << ": " << loaded.status().ToString();
+  }
+  std::stringstream garbage(StreamWithFirstWeight("0.5x"));
+  const auto loaded = Mlp::Load(garbage);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("unparsable weight '0.5x'"),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
+TEST(MlpTest, LoadKeepsSubnormalWeights) {
+  const double subnormal = std::numeric_limits<double>::denorm_min() * 3;
+  std::ostringstream token;
+  token.precision(17);
+  token << subnormal;
+  std::stringstream ss(StreamWithFirstWeight(token.str()));
+  const auto loaded = Mlp::Load(ss);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->layer_weights(0).data()[0], subnormal);
+  std::stringstream again;
+  EXPECT_TRUE(loaded->Save(again).ok());
+}
+
+TEST(MlpTest, SaveRefusesNonFiniteWeights) {
+  // A learning rate this large overflows the weights within a few steps.
+  MlpConfig config;
+  config.input_dim = 3;
+  config.hidden = {8};
+  config.output_dim = 1;
+  Mlp mlp(config);
+  const Matrix x = Matrix::FromRows({{1.0, 2.0, 3.0}, {-1.0, 0.5, 2.0}});
+  const Matrix y = Matrix::FromRows({{1.0}, {-1.0}});
+  for (int i = 0; i < 8; ++i) mlp.TrainMse(x, y, 1e300);
+  std::stringstream ss;
+  const Status status = mlp.Save(ss);
+  EXPECT_EQ(status.code(), Status::Code::kFailedPrecondition)
+      << status.ToString();
+  EXPECT_NE(status.message().find("non-finite weight"), std::string::npos)
+      << status.ToString();
+  EXPECT_TRUE(ss.str().empty()) << "nothing is written";
 }
 
 TEST(RngTest, Determinism) {
