@@ -165,7 +165,7 @@ LPA_INLINE void GemmRowsBody(const GemmArgs& g, size_t begin, size_t end) {
   Terms t;
   for (size_t i = begin; i < end; ++i) {
     const double* arow = g.a + i * g.a_row;
-    double* crow = g.c + i * g.n;
+    double* crow = g.c + i * (g.c_row != 0 ? g.c_row : g.n);
     size_t p0 = 0;
     do {
       const size_t p1 = g.k - p0 < kBlock ? g.k : p0 + kBlock;
@@ -196,8 +196,10 @@ LPA_INLINE void GemmRowsImpl(const GemmArgs& g, size_t begin, size_t end) {
 // Vectors of L elements, then the last fewer-than-L elements one at a time
 // (unlike a product's tail, an update must not run twice on an element).
 
-template <int L>
-LPA_INLINE void AdamImpl(const AdamArgs& s, size_t begin, size_t end) {
+/// With kUnbiased1 (bias1 == 1.0), m / bias1 is m, so the division is left
+/// out: it is one of the three divisions that bound this pass.
+template <int L, bool kUnbiased1>
+LPA_INLINE void AdamBody(const AdamArgs& s, size_t begin, size_t end) {
   using V = typename Lanes<L>::V;
   const double c1 = 1.0 - s.b1;
   const double c2 = 1.0 - s.b2;
@@ -211,7 +213,8 @@ LPA_INLINE void AdamImpl(const AdamArgs& s, size_t begin, size_t end) {
     Load(p, s.param + i);
     m = s.b1 * m + c1 * g;
     v = s.b2 * v + (c2 * g) * g;
-    const V mhat = m / s.bias1;
+    V mhat = m;
+    if constexpr (!kUnbiased1) mhat = m / s.bias1;
     V root = v / s.bias2;
     Sqrt<L>(root);
     p = p - (s.lr * mhat) / (root + s.eps);
@@ -226,7 +229,16 @@ LPA_INLINE void AdamImpl(const AdamArgs& s, size_t begin, size_t end) {
     }
   }
   if constexpr (L > 1) {
-    if (i < end) AdamImpl<1>(s, i, end);
+    if (i < end) AdamBody<1, kUnbiased1>(s, i, end);
+  }
+}
+
+template <int L>
+LPA_INLINE void AdamImpl(const AdamArgs& s, size_t begin, size_t end) {
+  if (s.bias1 == 1.0) {
+    AdamBody<L, true>(s, begin, end);
+  } else {
+    AdamBody<L, false>(s, begin, end);
   }
 }
 
@@ -250,27 +262,49 @@ LPA_INLINE void PolyakImpl(double* dst, const double* src, double tau,
 
 template <int L>
 LPA_INLINE void BiasGradImpl(double* delta, const double* out, size_t rows,
-                             size_t n, size_t j_begin, double* db) {
+                             size_t n, size_t row, size_t j_begin,
+                             double* db) {
   using V = typename Lanes<L>::V;
   size_t j = j_begin;
   for (; n - j >= static_cast<size_t>(L); j += L) {
     V sum{};
     for (size_t r = 0; r < rows; ++r) {
       V d;
-      Load(d, delta + r * n + j);
+      Load(d, delta + r * row + j);
       if (out != nullptr) {
         V o;
-        Load(o, out + r * n + j);
+        Load(o, out + r * row + j);
         const V zero{};
         d = o <= zero ? zero : d;
-        Store(delta + r * n + j, d);
+        Store(delta + r * row + j, d);
       }
       sum = sum + d;
     }
     Store(db + j, sum);
   }
   if constexpr (L > 1) {
-    if (j < n) BiasGradImpl<1>(delta, out, rows, n, j, db);
+    if (j < n) BiasGradImpl<1>(delta, out, rows, n, row, j, db);
+  }
+}
+
+/// x * 0.0 is +-0 for a finite x and NaN otherwise, so the lanes' sums stay
+/// zero exactly when every element is finite.
+template <int L>
+LPA_INLINE bool AllFiniteImpl(const double* p, size_t n) {
+  using V = typename Lanes<L>::V;
+  V acc{};
+  size_t i = 0;
+  for (; n - i >= static_cast<size_t>(L); i += L) {
+    V x;
+    Load(x, p + i);
+    acc = acc + x * 0.0;
+  }
+  bool finite = true;
+  if constexpr (L > 1) {
+    for (int l = 0; l < L; ++l) finite = finite && acc[l] == 0.0;
+    return finite && AllFiniteImpl<1>(p + i, n - i);
+  } else {
+    return acc == 0.0;
   }
 }
 
@@ -291,10 +325,13 @@ LPA_INLINE void BiasGradImpl(double* delta, const double* out, size_t rows,
     PolyakImpl<kLanes>(dst, src, tau, begin, end);                            \
   }                                                                           \
   attr void BiasGrad(double* delta, const double* out, size_t rows, size_t n, \
-                     double* db) {                                            \
-    BiasGradImpl<kLanes>(delta, out, rows, n, 0, db);                         \
+                     size_t row, double* db) {                                \
+    BiasGradImpl<kLanes>(delta, out, rows, n, row, 0, db);                    \
   }                                                                           \
-  constexpr Ops kOps{&GemmRows, &Adam, &Polyak, &BiasGrad};                   \
+  attr bool AllFinite(const double* p, size_t n) {                            \
+    return AllFiniteImpl<kLanes>(p, n);                                       \
+  }                                                                           \
+  constexpr Ops kOps{&GemmRows, &Adam, &Polyak, &BiasGrad, &AllFinite};       \
   }
 
 LPA_NN_VARIANT(baseline, , 2, 8)

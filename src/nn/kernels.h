@@ -38,7 +38,8 @@ struct GemmArgs {
   size_t a_row = 0;  ///< a(i, p) = a[i * a_row + p * a_col]
   size_t a_col = 1;
   const double* b = nullptr;  ///< B(p, j) = b[p * n + j], row-major k x n
-  double* c = nullptr;        ///< C(i, j) = c[i * n + j]
+  double* c = nullptr;        ///< C(i, j) = c[i * c_row + j]
+  size_t c_row = 0;           ///< 0 means n; more writes a column block
   size_t k = 0;
   size_t n = 0;
   bool skip_zero = true;
@@ -50,8 +51,10 @@ struct GemmArgs {
 /// [begin, end), in Mlp's expression order:
 ///   m = b1 * m + (1 - b1) * g;   v = b2 * v + ((1 - b2) * g) * g;
 ///   param -= (lr * (m / bias1)) / (sqrt(v / bias2) + eps).
-/// When `target` is set, target[i] = (1 - tau) * target[i] + tau * param[i]
-/// follows with the updated param (the Polyak update of a target network).
+/// Once bias1 is exactly 1.0 (from step 356 at b1 = 0.9), m / bias1 is m and
+/// the division is left out. When `target` is set,
+/// target[i] = (1 - tau) * target[i] + tau * param[i] follows with the
+/// updated param (the Polyak update of a target network).
 struct AdamArgs {
   double* param = nullptr;
   double* m = nullptr;
@@ -73,8 +76,11 @@ struct Ops {
   /// Bias gradient of one layer: for each column j of the rows x n `delta`,
   /// first zeroes delta(r, j) where out(r, j) <= 0 (the ReLU mask; skipped
   /// when `out` is null), then db[j] = +0.0 + delta(0, j) + delta(1, j) ...
+  /// Row r of delta and out starts at r * row (row >= n: a column block).
   void (*bias_grad)(double* delta, const double* out, size_t rows, size_t n,
-                    double* db);
+                    size_t row, double* db);
+  /// True when none of p[0, n) is infinite or NaN.
+  bool (*all_finite)(const double* p, size_t n);
 };
 
 /// \brief The variant compiled for `isa`. The caller must check
@@ -89,26 +95,36 @@ const Ops& Active();
 /// multiply-adds per row of C, so that one chunk carries at least
 /// kMinFlopsPerChunk of them.
 ///
-/// A chunk must carry more time than it costs to hand it to another thread:
-/// about 10 us to wake a sleeping worker on a 4-vCPU Xeon, plus moving the
-/// weights into that core's cache. The scalar loops these kernels replaced
-/// took about 1 ns per multiply-add at -O2 there, so their 16k per chunk
-/// carried about 16 us. The vector kernels take 0.13-0.19 ns, and a row
-/// nominally worth k * n multiply-adds costs up to 5x less when its inputs
-/// are mostly zero, so a chunk now carries 512k: 70-100 us when dense. At
-/// the learner's batch of 32, every product of the 128-64 networks is less
-/// than one chunk and runs inline; wide products, such as the state-action
-/// mode's stacked TD-target pass, still split across the pool.
+/// This sizes the products that Forward and the public GEMMs run on a pool,
+/// one region per product. The vector kernels take 0.13-0.19 ns per
+/// multiply-add on a 4-vCPU Xeon, and a row nominally worth k * n of them
+/// costs up to 5x less when its inputs are mostly zero, so a chunk carries
+/// 70-100 us when dense: well above the 1-2 us a region costs when the
+/// workers are polling (see ThreadPool) and the ~10 us it costs when it must
+/// wake them. So batch-32 products of the 128-64 networks run inline, and
+/// wide ones, such as the state-action mode's stacked TD-target pass, split
+/// across the pool. A training step does not split its products this way:
+/// it runs a few regions of whole jobs (see kMinFlopsPerJob).
 constexpr size_t kMinFlopsPerChunk = 512 * 1024;
 inline size_t RowChunk(size_t flops_per_row) {
   return kMinFlopsPerChunk / (flops_per_row + 1) + 1;
 }
 
-/// \brief Elements per pool chunk of the Adam and Polyak passes. The scalar
-/// loops took about 7 ns per element, so 4096 elements carried about 29 us;
-/// the vector pass is bound by the divider at about 3 ns per element at
-/// every width, so a chunk of 16k carries about 50 us. Every layer of the
-/// 128-64 networks (at most 76 x 128 weights) then updates inline.
+/// \brief Multiply-adds of one forward pass per thread below which an Mlp
+/// training step runs inline. A step on T threads runs each of its regions
+/// as T fixed jobs, one per thread: the forward pass, with the target
+/// network's, split by batch rows; the input gradient of each hidden layer
+/// but the last, split by the rows of its weights; and the weight gradients
+/// with the Adam and Polyak updates, split by weight rows. With the DQN's
+/// two hidden layers that is three regions. 32k multiply-adds take 4-6 us,
+/// a few times a polled region's hand-off. The DQN's batch-32 steps carry
+/// 430k (SSB) and 720k (TPC-CH) per forward pass.
+constexpr size_t kMinFlopsPerJob = 32 * 1024;
+
+/// \brief Elements per pool chunk of SoftUpdateFrom's Polyak pass. The
+/// vector pass takes about 0.3 ns per element, so a chunk of 16k carries
+/// about 5 us. Every layer of the 128-64 networks (at most 76 x 128 weights)
+/// then updates inline.
 constexpr size_t kElemChunk = 16 * 1024;
 
 /// \brief Runs fn(begin, end) over [0, n): on `pool` in chunks of at least

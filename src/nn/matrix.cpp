@@ -61,27 +61,32 @@ void GemmTransA(const Matrix& a, const Matrix& b, Matrix* c, ThreadPool* pool) {
   RunGemm(g, a.cols(), pool);
 }
 
+void TransposeRows(const Matrix& m, size_t begin, size_t end, Matrix* t) {
+  assert(begin <= end && end <= m.rows());
+  const size_t rows = end - begin, cols = m.cols();
+  t->Resize(cols, rows);
+  // In 8 x 8 blocks, so that reads and writes both stay in a few cache lines.
+  constexpr size_t kBlock = 8;
+  double* dst = t->data().data();
+  for (size_t r0 = 0; r0 < rows; r0 += kBlock) {
+    const size_t r1 = std::min(rows, r0 + kBlock);
+    for (size_t c0 = 0; c0 < cols; c0 += kBlock) {
+      const size_t c1 = std::min(cols, c0 + kBlock);
+      for (size_t r = r0; r < r1; ++r) {
+        const double* src = m.row(begin + r);
+        for (size_t c = c0; c < c1; ++c) dst[c * rows + r] = src[c];
+      }
+    }
+  }
+}
+
 void GemmTransB(const Matrix& a, const Matrix& b, Matrix* c, ThreadPool* pool,
                 Matrix* bt) {
   assert(a.cols() == b.cols());
   assert(c->rows() == a.rows() && c->cols() == b.rows());
   Matrix local;
   if (bt == nullptr) bt = &local;
-  bt->Resize(b.cols(), b.rows());
-  // In 8 x 8 blocks, so that reads and writes both stay in a few cache lines.
-  constexpr size_t kBlock = 8;
-  const size_t n = b.rows(), k = b.cols();
-  double* dst = bt->data().data();
-  for (size_t j0 = 0; j0 < n; j0 += kBlock) {
-    const size_t j1 = std::min(n, j0 + kBlock);
-    for (size_t p0 = 0; p0 < k; p0 += kBlock) {
-      const size_t p1 = std::min(k, p0 + kBlock);
-      for (size_t j = j0; j < j1; ++j) {
-        const double* brow = b.row(j);
-        for (size_t p = p0; p < p1; ++p) dst[p * n + j] = brow[p];
-      }
-    }
-  }
+  TransposeRows(b, 0, b.rows(), bt);
   kernels::GemmArgs g;
   g.a = a.data().data();
   g.a_row = a.cols();

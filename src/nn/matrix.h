@@ -87,6 +87,10 @@ void Gemm(const Matrix& a, const Matrix& b, Matrix* c,
 void GemmTransA(const Matrix& a, const Matrix& b, Matrix* c,
                 ThreadPool* pool = nullptr);
 
+/// \brief T = (rows [begin, end) of M)^T, resizing T to M.cols() x
+/// (end - begin).
+void TransposeRows(const Matrix& m, size_t begin, size_t end, Matrix* t);
+
 /// \brief C = A * B^T (A: m x k, B: n x k). C must be pre-sized m x n. No
 /// term is skipped. The product runs on a transposed copy of B, kept in `bt`
 /// when given (reused across calls) and in a temporary otherwise.

@@ -200,29 +200,43 @@ double DqnAgent::TrainStepFrom(const ReplayBuffer& replay, Rng* rng,
               t->next_enc.size() == state_dim);
   }
 
-  // Compute TD targets r + gamma * max_a' Q_target(s', a') — one stacked
-  // matrix pass per minibatch in either network mode.
-  ls.targets.resize(batch.size());
+  // The soft target update rides in the Q-network's parameter pass.
+  const nn::SoftTarget soft{target_.get(), config_.tau};
+  double loss = 0.0;
   if (config_.mode == QNetworkMode::kMultiHead) {
+    // TD targets r + gamma * max_a' Q_target(s', a'), from the target
+    // network's pass over the next states, which the Q-network's step runs
+    // next to its own forward pass.
+    ls.next_x.Resize(batch.size(), state_dim);
     ls.x.Resize(batch.size(), state_dim);
+    ls.heads.resize(batch.size());
     for (size_t i = 0; i < batch.size(); ++i) {
       std::copy(batch[i]->next_enc.begin(), batch[i]->next_enc.end(),
+                ls.next_x.row(i));
+      std::copy(batch[i]->state_enc.begin(), batch[i]->state_enc.end(),
                 ls.x.row(i));
+      ls.heads[i] = batch[i]->action_id;
     }
-    const nn::Matrix& next_q =
-        target_->Forward(ls.x, &ls.fwd_a, &ls.fwd_b, pool);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      double best = -1e30;
-      for (int a : batch[i]->next_legal) {
-        best = std::max(best, next_q.at(i, static_cast<size_t>(a)));
-      }
-      ls.targets[i] = batch[i]->reward + config_.gamma * best;
-    }
+    const double gamma = config_.gamma;
+    const nn::ForwardTargets targets{
+        target_.get(), &ls.next_x,
+        [&batch, gamma](const nn::Matrix& next_q, std::vector<double>* y) {
+          for (size_t i = 0; i < batch.size(); ++i) {
+            double best = -1e30;
+            for (int a : batch[i]->next_legal) {
+              best = std::max(best, next_q.at(i, static_cast<size_t>(a)));
+            }
+            (*y)[i] = batch[i]->reward + gamma * best;
+          }
+        }};
+    loss = q_->TrainMaskedMse(ls.x, ls.heads, targets, config_.learning_rate,
+                              pool, soft);
   } else {
     // Stack every transition's legal next-actions into ONE GEMM instead of a
     // forward pass per transition. Row r of the stacked output is
     // bit-identical to the per-transition forward (the GEMM accumulates each
     // row independently in a fixed order), so the targets are unchanged.
+    ls.targets.resize(batch.size());
     size_t stacked = 0;
     for (const Transition* t : batch) stacked += t->next_legal.size();
     ls.x.Resize(stacked, static_cast<size_t>(InputDim()));
@@ -241,22 +255,6 @@ double DqnAgent::TrainStepFrom(const ReplayBuffer& replay, Rng* rng,
       }
       ls.targets[i] = batch[i]->reward + config_.gamma * best;
     }
-  }
-
-  // The soft target update rides in the Q-network's parameter pass.
-  const nn::SoftTarget soft{target_.get(), config_.tau};
-  double loss = 0.0;
-  if (config_.mode == QNetworkMode::kMultiHead) {
-    ls.x.Resize(batch.size(), state_dim);
-    ls.heads.resize(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      std::copy(batch[i]->state_enc.begin(), batch[i]->state_enc.end(),
-                ls.x.row(i));
-      ls.heads[i] = batch[i]->action_id;
-    }
-    loss = q_->TrainMaskedMse(ls.x, ls.heads, ls.targets,
-                              config_.learning_rate, pool, soft);
-  } else {
     ls.x.Resize(batch.size(), static_cast<size_t>(InputDim()));
     ls.y.Resize(batch.size(), 1);
     for (size_t i = 0; i < batch.size(); ++i) {
