@@ -10,9 +10,9 @@
 //  - the forced-regression drill exercises >= 1 automatic rollback and ends
 //    back on the incumbent design.
 //
-// Scaling waiver: this host pins the suite to 1 CPU, so the bench asserts
-// correctness counters (detections, swaps, rollbacks, recovery ratios), not
-// wall-clock throughput; LPA_BENCH_SCALE shortens the training budgets.
+// The gates are correctness counters (detections, swaps, rollbacks,
+// recovery ratios); wall-clock times are reported. LPA_BENCH_SCALE shortens
+// the training budgets.
 
 #include <algorithm>
 #include <iostream>
@@ -208,8 +208,9 @@ int Main(int argc, char** argv) {
   report.set_seed(common.seed);
   report.set_schema(schema_name);
   report.set_engine_profile(EngineName(EngineKind::kDiskBased));
-  report.Note("scaling_waiver",
-              "1-CPU host: correctness counters asserted, not throughput");
+  report.Note("gates",
+              "correctness counters asserted: detections, swaps, rollbacks, "
+              "recovery ratios");
   Testbed tb = MakeTestbed(schema_name, EngineKind::kDiskBased,
                            DefaultFraction(schema_name), common.seed);
 
