@@ -16,9 +16,13 @@
 // OnlineEnv::set_exec_context): every simulated query the online phase runs
 // executes its scan / join / shuffle kernels pool-parallel. The pool never
 // feeds the training RNG, so rewards — printed as a digest next to the
-// wall-clock — are bit-identical at every --threads value.
+// wall-clock — are bit-identical at every --threads value. After Table 2 it
+// prints a digest of every variant's exact accounting bits (simulated
+// seconds, executed queries and cache hits).
 
+#include <bit>
 #include <chrono>
+#include <cstdio>
 #include <iostream>
 
 #include "bench/bench_common.h"
@@ -147,6 +151,9 @@ int Main(int argc, char** argv) {
   TablePrinter table2({"Optimizations", "Training Time (sim. hours)",
                        "Speedup", "queries run", "cache hits"});
   double previous = 0.0;
+  // Digest of every variant's exact accounting bits (the table prints four
+  // digits); a change to the engine must leave it equal.
+  uint64_t accounting_digest = 0x9e3779b97f4a7c15ULL;
   for (const auto& variant : kVariants) {
     OnlineSetup vsetup = MakeOnlineSetup(offline_result.best_state);
     rl::OnlineEnv env(vsetup.sample_cluster.get(), vsetup.tb.workload.get(),
@@ -177,6 +184,13 @@ int Main(int argc, char** argv) {
                             config.online_episodes, &train_ctx);
     }
     const auto& acc = env.accounting();
+    for (double v : {acc.query_seconds, acc.repartition_seconds,
+                     acc.timeout_saved_seconds}) {
+      accounting_digest =
+          HashCombine(accounting_digest, std::bit_cast<uint64_t>(v));
+    }
+    accounting_digest = HashCombine(accounting_digest, acc.queries_executed);
+    accounting_digest = HashCombine(accounting_digest, acc.cache_hits);
     double hours = acc.total_seconds() / 3600.0;
     table2.AddRow({variant.name, FormatDouble(hours, 4),
                    previous > 0.0 ? FormatDouble(previous / hours, 1) + "x" : "-",
@@ -187,6 +201,11 @@ int Main(int argc, char** argv) {
   report.Table(
       "Exp 2 / Table 2: online training time under cumulative optimizations",
       table2);
+  char digest[17];
+  std::snprintf(digest, sizeof(digest), "%016llx",
+                static_cast<unsigned long long>(accounting_digest));
+  std::cout << "Table 2 accounting digest " << digest << "\n";
+  report.Note("table2_accounting_digest", digest);
   return 0;
 }
 

@@ -12,6 +12,8 @@
 
 #include <chrono>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <sstream>
 
 #include "advisor/serialization.h"
@@ -27,6 +29,7 @@
 #include "partition/featurizer.h"
 #include "rl/dqn.h"
 #include "rl/offline_env.h"
+#include "rl/online_env.h"
 #include "schema/catalogs.h"
 #include "storage/database.h"
 #include "storage/encoded_column.h"
@@ -276,26 +279,177 @@ void BM_SealSsbFactTable(benchmark::State& s) {
 }
 BENCHMARK(BM_SealSsbFactTable)->Unit(benchmark::kMillisecond);
 
+/// A cold repartition of the SSB fact table from its key to lo_custkey: each
+/// iteration deploys the initial design on a fresh cluster outside the
+/// timer, then times the move to a layout the cluster has never held.
 void BM_RepartitionFactTable(benchmark::State& s) {
   auto& f = Ssb();
   storage::GenerationConfig gen;
   gen.fraction = 2e-4;
   gen.seed = 5;
-  engine::ClusterDatabase cluster(
-      storage::Database::Generate(f.schema, f.wl, gen),
-      engine::EngineConfig{costmodel::HardwareProfile::DiskBased10G(), 0.0, 5},
-      &f.model);
+  const storage::Database db = storage::Database::Generate(f.schema, f.wl, gen);
   auto a = partition::PartitioningState::Initial(&f.schema, &f.edges);
   auto b = a;
   schema::TableId lo = f.schema.TableIndex("lineorder");
   LPA_CHECK(b.PartitionBy(lo, f.schema.table(lo).ColumnIndex("lo_custkey")).ok());
-  bool flip = false;
   for (auto _ : s) {
-    benchmark::DoNotOptimize(cluster.ApplyDesign(flip ? a : b));
-    flip = !flip;
+    s.PauseTiming();
+    engine::ClusterDatabase cluster(
+        db,
+        engine::EngineConfig{costmodel::HardwareProfile::DiskBased10G(), 0.0,
+                             5},
+        &f.model);
+    cluster.ApplyDesign(a);
+    s.ResumeTiming();
+    benchmark::DoNotOptimize(cluster.ApplyDesign(b));
   }
 }
 BENCHMARK(BM_RepartitionFactTable);
+
+/// perfbench refine_tpcch's online environment: the TPC-CH testbed at its
+/// bench fraction (disk profile, data seed 42), its 20% sample, the
+/// engine's runtime planner, and the per-query scale factors measured under
+/// the initial design.
+struct OnlineTpcchFixture {
+  OnlineTpcchFixture()
+      : schema(schema::MakeTpcchSchema()),
+        wl(workload::MakeTpcchWorkload(schema)),
+        edges(partition::EdgeSet::Extract(schema, wl)),
+        hw(costmodel::HardwareProfile::DiskBased10G()),
+        planner(&schema, hw, /*depth_sigma=*/0.05, /*seed=*/43,
+                /*use_independence_assumption=*/false) {
+    wl.SetUniformFrequencies();
+    storage::GenerationConfig gen;
+    gen.fraction = bench::DefaultFraction("tpcch");
+    gen.small_table_threshold = 64;
+    gen.seed = 42;
+    storage::Database full_db = storage::Database::Generate(schema, wl, gen);
+    sample.emplace(full_db.Sample(0.2, 64, 7));
+    engine::ClusterDatabase full(std::move(full_db), Config(42), &planner);
+    engine::ClusterDatabase sampled(*sample, Config(43), &planner);
+    scale = rl::ComputeScaleFactors(
+        &full, &sampled, wl,
+        partition::PartitioningState::Initial(&schema, &edges));
+    steps = Sequence(96, 2024);
+  }
+
+  engine::EngineConfig Config(uint64_t seed) const {
+    engine::EngineConfig config;
+    config.hardware = hw;
+    config.seed = seed;
+    return config;
+  }
+
+  /// The seeded sequence of tests/online_golden_test.cpp: one table changes
+  /// per step (three on every seventh), every fourth step reverts the
+  /// previous change, and each step draws a uniform mix.
+  std::vector<std::pair<partition::PartitioningState, std::vector<double>>>
+  Sequence(int count, uint64_t seed) const {
+    Rng rng(seed);
+    std::vector<partition::TablePartition> design =
+        partition::PartitioningState::Initial(&schema, &edges)
+            .table_partitions();
+    schema::TableId last_table = -1;
+    partition::TablePartition last_before;
+    std::vector<std::pair<partition::PartitioningState, std::vector<double>>>
+        out;
+    for (int step = 0; step < count; ++step) {
+      if (step % 4 == 3 && last_table >= 0) {
+        design[static_cast<size_t>(last_table)] = last_before;
+        last_table = -1;
+      } else {
+        const int changes = step % 7 == 0 ? 3 : 1;
+        for (int k = 0; k < changes; ++k) {
+          const auto t = static_cast<schema::TableId>(
+              rng.UniformInt(0, schema.num_tables() - 1));
+          std::vector<partition::TablePartition> fresh;
+          const partition::TablePartition& now = design[static_cast<size_t>(t)];
+          if (!now.replicated) fresh.push_back({true, -1});
+          const auto& columns = schema.table(t).columns;
+          for (size_t c = 0; c < columns.size(); ++c) {
+            partition::TablePartition option{false,
+                                             static_cast<schema::ColumnId>(c)};
+            if (columns[c].partitionable && option != now) {
+              fresh.push_back(option);
+            }
+          }
+          if (fresh.empty()) continue;
+          last_table = t;
+          last_before = now;
+          design[static_cast<size_t>(t)] = fresh[static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(fresh.size()) - 1))];
+        }
+      }
+      out.emplace_back(
+          partition::PartitioningState::FromDesign(&schema, &edges, design),
+          workload::SampleUniformFrequencies(wl.num_queries(), &rng));
+    }
+    return out;
+  }
+
+  schema::Schema schema;
+  workload::Workload wl;
+  partition::EdgeSet edges;
+  costmodel::HardwareProfile hw;
+  costmodel::NoisyOptimizerModel planner;
+  std::optional<storage::Database> sample;
+  std::vector<double> scale;
+  std::vector<std::pair<partition::PartitioningState, std::vector<double>>>
+      steps;
+};
+
+OnlineTpcchFixture& OnlineTpcch() {
+  static OnlineTpcchFixture fixture;
+  return fixture;
+}
+
+/// Replays the seeded online sequence (96 designs, 440 executed queries)
+/// through a fresh OnlineEnv on a fresh sampled cluster and planner per
+/// iteration, built outside the timer; even steps call WorkloadCost, odd
+/// steps QueryCost per query. The engine runs on `threads` threads.
+void OnlineEnvTpcchSample(benchmark::State& s, int threads) {
+  auto& f = OnlineTpcch();
+  EvalContext ctx(threads, 11);
+  size_t executed = 0;
+  for (auto _ : s) {
+    s.PauseTiming();
+    auto planner = std::make_unique<costmodel::NoisyOptimizerModel>(
+        &f.schema, f.hw, 0.05, 43, false);
+    auto cluster = std::make_unique<engine::ClusterDatabase>(
+        *f.sample, f.Config(43), planner.get());
+    rl::OnlineEnv env(cluster.get(), &f.wl, f.scale, rl::OnlineEnvOptions{});
+    env.set_exec_context(threads > 1 ? &ctx : nullptr);
+    s.ResumeTiming();
+    double total = 0.0;
+    for (size_t i = 0; i < f.steps.size(); ++i) {
+      const auto& [state, mix] = f.steps[i];
+      if (i % 2 == 0) {
+        total += env.WorkloadCost(state, mix);
+        continue;
+      }
+      for (int q = 0; q < f.wl.num_queries(); ++q) {
+        const double freq = mix[static_cast<size_t>(q)];
+        if (freq > 0.0) total += env.QueryCost(q, state, freq);
+      }
+    }
+    benchmark::DoNotOptimize(total);
+    executed = env.accounting().queries_executed;
+    s.PauseTiming();
+    env.set_exec_context(nullptr);
+    cluster.reset();
+    planner.reset();
+    s.ResumeTiming();
+  }
+  s.counters["executed"] = static_cast<double>(executed);
+}
+
+void BM_OnlineEnvTpcchSample(benchmark::State& s) { OnlineEnvTpcchSample(s, 1); }
+BENCHMARK(BM_OnlineEnvTpcchSample)->Unit(benchmark::kMillisecond);
+
+void BM_OnlineEnvTpcchSamplePool4(benchmark::State& s) {
+  OnlineEnvTpcchSample(s, 4);
+}
+BENCHMARK(BM_OnlineEnvTpcchSamplePool4)->Unit(benchmark::kMillisecond);
 
 void BM_SqlParseQuery(benchmark::State& s) {
   auto& f = Ssb();
