@@ -8,6 +8,21 @@
 
 namespace lpa::costmodel {
 
+namespace {
+
+/// Factors the noise memo may hold before it is wiped wholesale. One entry
+/// per (query name, join, depth) actually planned; TPC-CH needs fewer than
+/// a thousand.
+constexpr size_t kNoiseMemoMaxEntries = 1 << 16;
+
+}  // namespace
+
+size_t NoisyOptimizerModel::NoiseKeyHash::operator()(const NoiseKey& k) const {
+  uint64_t h = HashCombine(k.name_hash, static_cast<uint64_t>(k.join_index));
+  return static_cast<size_t>(
+      HashCombine(h, static_cast<uint64_t>(k.num_joined)));
+}
+
 NoisyOptimizerModel::NoisyOptimizerModel(const schema::Schema* schema,
                                          HardwareProfile hardware,
                                          double depth_sigma, uint64_t seed,
@@ -18,6 +33,12 @@ NoisyOptimizerModel::NoisyOptimizerModel(const schema::Schema* schema,
       seed_(seed),
       use_independence_assumption_(use_independence_assumption),
       design_sigma_(design_sigma) {}
+
+void NoisyOptimizerModel::set_stats_epoch(int epoch) {
+  stats_epoch_ = epoch;
+  std::lock_guard<std::mutex> lock(noise_mu_);
+  noise_memo_.clear();
+}
 
 double NoisyOptimizerModel::DesignCostScale(
     const workload::QuerySpec& query,
@@ -62,16 +83,25 @@ double NoisyOptimizerModel::CardinalityScale(const workload::QuerySpec& query,
       use_independence_assumption_ ? exact_denominator / prod : 1.0;
 
   // Depth-compounding lognormal noise, deterministic per (query, predicate,
-  // depth, statistics epoch).
+  // depth, statistics epoch); memoized under the current epoch.
   double sigma = depth_sigma_ * std::max(0, num_joined - 2);
   double noise = 1.0;
   if (sigma > 0.0) {
-    uint64_t h = HashCombine(seed_, HashString(query.name));
+    const NoiseKey key{HashString(query.name), join_index, num_joined};
+    {
+      std::lock_guard<std::mutex> lock(noise_mu_);
+      auto it = noise_memo_.find(key);
+      if (it != noise_memo_.end()) return independence * it->second;
+    }
+    uint64_t h = HashCombine(seed_, key.name_hash);
     h = HashCombine(h, static_cast<uint64_t>(join_index) * 1315423911ULL);
     h = HashCombine(h, static_cast<uint64_t>(num_joined));
     h = HashCombine(h, static_cast<uint64_t>(stats_epoch_) * 2654435761ULL);
     Rng rng(h);
     noise = std::exp(sigma * rng.Gaussian());
+    std::lock_guard<std::mutex> lock(noise_mu_);
+    if (noise_memo_.size() >= kNoiseMemoMaxEntries) noise_memo_.clear();
+    noise_memo_.emplace(key, noise);
   }
   return independence * noise;
 }

@@ -1,5 +1,8 @@
 #pragma once
 
+#include <mutex>
+#include <unordered_map>
+
 #include "costmodel/cost_model.h"
 
 namespace lpa::costmodel {
@@ -22,6 +25,10 @@ namespace lpa::costmodel {
 /// epoch): re-planning the same query yields the same plan, but refreshing
 /// statistics after bulk updates (Exp 3a) flips some plans — exactly the
 /// behaviour the paper observed on Postgres-XL.
+///
+/// The depth-noise factor is memoized per model, so a repeated
+/// (query, predicate, depth) seeds no generator. The memo is guarded by a
+/// mutex: the engine plans from pool threads (`ExecuteWorkload`).
 class NoisyOptimizerModel : public CostModel {
  public:
   NoisyOptimizerModel(const schema::Schema* schema, HardwareProfile hardware,
@@ -30,8 +37,9 @@ class NoisyOptimizerModel : public CostModel {
                       double design_sigma = 0.8);
 
   /// \brief Bump after bulk updates: models an ANALYZE refresh that changes
-  /// the statistics the estimates are drawn from.
-  void set_stats_epoch(int epoch) { stats_epoch_ = epoch; }
+  /// the statistics the estimates are drawn from. Clears the noise memo.
+  /// Not safe concurrently with planning.
+  void set_stats_epoch(int epoch);
   int stats_epoch() const { return stats_epoch_; }
   int StatsEpoch() const override { return stats_epoch_; }
 
@@ -55,6 +63,21 @@ class NoisyOptimizerModel : public CostModel {
   bool use_independence_assumption_;
   double design_sigma_;
   int stats_epoch_ = 0;
+
+  /// Inputs of the depth noise besides the seed and the stats epoch: the
+  /// hash of the query's name, the join and the number of joined tables.
+  struct NoiseKey {
+    uint64_t name_hash;
+    int join_index;
+    int num_joined;
+    bool operator==(const NoiseKey&) const = default;
+  };
+  struct NoiseKeyHash {
+    size_t operator()(const NoiseKey& k) const;
+  };
+  /// Depth-noise factors of the current stats epoch.
+  mutable std::mutex noise_mu_;
+  mutable std::unordered_map<NoiseKey, double, NoiseKeyHash> noise_memo_;
 };
 
 }  // namespace lpa::costmodel
