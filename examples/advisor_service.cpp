@@ -1,24 +1,21 @@
 // The production loop of Fig 1: a trained advisor deployed as a service —
 // now behind the serving subsystem. The advisor is trained once, snapshotted,
-// and published to a ModelRegistry; an AdvisorServer with a worker pool and
-// cross-request inference batching answers Suggest requests. The workload
-// monitor watches executed queries, and when the mix drifts the service is
-// asked (concurrently, as a real service would be) for a new design. Between
-// the two workload eras a snapshot-reloaded model is hot-swapped in under
-// load — in-flight requests finish on the old version, none are dropped.
+// and published to a ModelRegistry; an AdvisorServer with a worker pool
+// answers Suggest requests. The workload monitor watches executed queries,
+// and when the mix drifts the service is asked (concurrently, as a real
+// service would be) for a new design. Between the two workload eras a
+// snapshot-reloaded model is hot-swapped in under load — in-flight
+// requests finish on the old version, none are dropped.
 // A final act runs the same stack multi-tenant: three regional tenants
 // sharing a base model behind a two-shard consistent-hash fleet, with a
 // tenant-scoped hot swap that moves only one tenant to the new version.
 //
-//   $ ./build/examples/advisor_service [--threads N] [--batch-window S]
-//       [--seed N] [--profile disk|memory] [--metrics]
-//       [--metrics-json=out.json]
+//   $ ./build/examples/advisor_service [--threads N] [--seed N]
+//       [--profile disk|memory] [--metrics] [--metrics-json=out.json]
 //
 // --threads sets both the training evaluation threads and the server's
-// worker pool; --batch-window bounds how long a batch leader waits for
-// co-batchable requests. --metrics prints the telemetry counters (including
-// serving.* and the batch-size histogram); --metrics-json writes them as
-// JSON.
+// worker pool. --metrics prints the telemetry counters (including
+// serving.*); --metrics-json writes them as JSON.
 //
 // --autopilot inserts a third act between the eras and the fleet: a
 // snapshot-restored standby becomes the incumbent of the closed-loop
@@ -59,11 +56,9 @@ int main(int argc, char** argv) {
   cli::CommonOptions common;
   common.seed = 9;  // this example's historical fixed seed
   autopilot::AutopilotOptions autopilot_options;
-  double batch_window = 200e-6;
   cli::FlagParser parser;
   common.Register(&parser);
   autopilot_options.Register(&parser);
-  parser.AddDouble("batch-window", "batching window seconds", &batch_window);
   parser.ParseOrExit(argc, argv);
   std::string error;
   if (!common.Validate(&error) || !autopilot_options.Validate(&error)) {
@@ -102,26 +97,22 @@ int main(int argc, char** argv) {
   const std::string snapshot_bytes = snapshot.str();
 
   // --- Publish + start the serving layer ---------------------------------
-  serving::InferenceBatcher::Config batch;
-  batch.window_seconds = batch_window;
   serving::ModelRegistry registry;
   // Suggested states reference their model's internal edge set, so keep
   // every published version alive for as long as its designs may be in use.
   std::vector<std::shared_ptr<serving::ServingModel>> pinned_models;
   pinned_models.push_back(std::make_shared<serving::ServingModel>(
-      std::move(advisor), &cost_model, batch));
+      std::move(advisor), &cost_model));
   uint64_t version = registry.Publish(pinned_models.back());
   serving::ServerConfig server_config;
   server_config.worker_threads = common.threads;
-  server_config.batch = batch;
   serving::AdvisorServer server(&registry, server_config);
   if (Status st = server.Start(); !st.ok()) {
     std::cerr << "server start error: " << st.ToString() << "\n";
     return 1;
   }
   std::cout << "serving model v" << version << " ("
-            << server_config.worker_threads << " worker(s), batch window "
-            << batch_window * 1e6 << "us)\n";
+            << server_config.worker_threads << " worker(s))\n";
 
   // --- Deploy on the cluster (Fig 1 step 3) ------------------------------
   storage::GenerationConfig gen;
@@ -161,7 +152,7 @@ int main(int argc, char** argv) {
     if (era.swap_model) {
       std::istringstream snap(snapshot_bytes);
       auto reloaded = serving::ServingModel::FromSnapshot(
-          &schema, workload, config, &cost_model, snap, batch);
+          &schema, workload, config, &cost_model, snap);
       if (!reloaded.ok()) {
         std::cerr << "hot-swap load error: " << reloaded.status().ToString()
                   << "\n";
@@ -187,7 +178,7 @@ int main(int argc, char** argv) {
 
     // Ask the service. A real deployment has many concurrent callers, so
     // submit a few jittered variants of the mix alongside the canonical one
-    // — they coalesce into batched Q-network passes on the server.
+    // — the server's workers roll them out concurrently.
     auto freqs = monitor.CurrentFrequencies();
     std::future<serving::SuggestResponse> canonical =
         server.SubmitAsync(freqs);
@@ -243,7 +234,6 @@ int main(int argc, char** argv) {
     // the async flavor under sustained traffic).
     loop.retrain.async = false;
     loop.retrain.episodes = 24;  // snappy demo-scale retrains
-    loop.retrain.batch = batch;
     loop.retrain.seed = common.seed + 17;
     autopilot::ApplyScenarioOverrides(kind, &loop);
     autopilot::Autopilot pilot(std::move(standby), &cost_model, loop);
@@ -261,8 +251,8 @@ int main(int argc, char** argv) {
                           : driver.default_ticks();
     const std::vector<double> base_mix = monitor.CurrentFrequencies();
     auto tick_once = [&]() -> bool {
-      // Concurrent callers during the control tick: they coalesce in the
-      // server's batcher and ride any swap on the RCU guarantee.
+      // Concurrent callers during the control tick: they ride any swap on
+      // the RCU guarantee.
       std::vector<std::future<serving::SuggestResponse>> inflight;
       for (int i = 0; i < 3; ++i) {
         std::vector<double> variant = base_mix;
@@ -306,8 +296,8 @@ int main(int argc, char** argv) {
 
   // --- Multi-tenant fleet: the same stack at cloud scale ------------------
   // Three regional tenants share the current base model — one ServingModel
-  // instance, so their concurrent requests coalesce in its batcher — behind
-  // a two-shard consistent-hash fleet. Then only the EU tenant hot-swaps:
+  // instance, one copy of its weights — behind a two-shard consistent-hash
+  // fleet. Then only the EU tenant hot-swaps:
   // its namespace moves to v2 while the others keep serving v1.
   std::cout << "\n=== multi-tenant fleet (3 tenants, 2 shards) ===\n";
   fleet::TenantDirectory directory;
@@ -318,7 +308,6 @@ int main(int argc, char** argv) {
   fleet::FleetConfig fleet_config;
   fleet_config.shards = 2;
   fleet_config.server.worker_threads = std::max(1, common.threads);
-  fleet_config.server.batch = batch;
   fleet::FleetRouter router(&directory, fleet_config);
   if (Status st = router.Start(); !st.ok()) {
     std::cerr << "fleet start error: " << st.ToString() << "\n";
@@ -353,7 +342,7 @@ int main(int argc, char** argv) {
   {
     std::istringstream snap(snapshot_bytes);
     auto reloaded = serving::ServingModel::FromSnapshot(
-        &schema, workload, config, &cost_model, snap, batch);
+        &schema, workload, config, &cost_model, snap);
     if (!reloaded.ok()) {
       std::cerr << "tenant hot-swap load error: "
                 << reloaded.status().ToString() << "\n";
@@ -383,7 +372,6 @@ int main(int argc, char** argv) {
                                   : "in-memory";
     manifest.schema = "ssb";
     manifest.Set("threads", std::to_string(common.threads));
-    manifest.Set("batch_window_seconds", std::to_string(batch_window));
     auto& registry_metrics = telemetry::MetricsRegistry::Global();
     if (common.metrics) std::cout << "\n" << registry_metrics.ToTable();
     if (!common.metrics_json.empty()) {

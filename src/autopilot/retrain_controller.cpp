@@ -179,8 +179,7 @@ Result<std::shared_ptr<serving::ServingModel>> RetrainController::BuildServable(
   }
   std::istringstream is(snapshot);
   LPA_RETURN_NOT_OK(advisor::LoadAgentSnapshot(is, advisor->agent()));
-  return std::make_shared<serving::ServingModel>(std::move(advisor), model_,
-                                                 config_.batch);
+  return std::make_shared<serving::ServingModel>(std::move(advisor), model_);
 }
 
 uint64_t RetrainController::PublishServable(

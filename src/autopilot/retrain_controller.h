@@ -45,8 +45,6 @@ struct RetrainConfig {
   /// Threads of the background training EvalContext.
   int threads = 1;
   uint64_t seed = 0x5eedULL;
-  /// Batcher config of published servables.
-  serving::InferenceBatcher::Config batch;
   /// Chaos/testing hook: replace the freshly trained candidate's suggested
   /// design (e.g. with a known-bad one) before validation, to drill the
   /// rollback protocol end to end. Return nullopt to keep the suggestion.

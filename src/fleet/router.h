@@ -23,7 +23,7 @@ struct FleetConfig {
   int shards = 2;
   /// Virtual-node points each shard contributes to the consistent-hash ring.
   int vnodes_per_shard = 64;
-  /// Per-shard server configuration (worker pool, queue, batching window).
+  /// Per-shard server configuration (worker pool, queue, default deadline).
   serving::ServerConfig server;
   /// Admission quota applied to tenants on first sight (default unlimited).
   QuotaConfig default_quota;

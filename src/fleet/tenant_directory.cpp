@@ -36,22 +36,6 @@ void TenantDirectory::PublishShared(
   }
 }
 
-Result<std::shared_ptr<serving::ServingModel>>
-TenantDirectory::PublishSharedSnapshot(
-    const std::vector<std::string>& tenants, const schema::Schema* schema,
-    workload::Workload workload, advisor::AdvisorConfig config,
-    const costmodel::CostModel* cost_model, std::istream& snapshot,
-    serving::InferenceBatcher::Config batch,
-    serving::QuantizeSpec quantize) {
-  Result<std::shared_ptr<serving::ServingModel>> model =
-      serving::ServingModel::FromSnapshot(schema, std::move(workload),
-                                          std::move(config), cost_model,
-                                          snapshot, batch, quantize);
-  if (!model.ok()) return model;
-  PublishShared(tenants, model.value());
-  return model;
-}
-
 std::vector<std::string> TenantDirectory::Tenants() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;

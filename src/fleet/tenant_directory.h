@@ -18,12 +18,11 @@ namespace lpa::fleet {
 /// Registry pointers are stable for the directory's lifetime (tenants are
 /// never erased), so the router and server workers may cache them.
 ///
-/// Cross-tenant batching falls out of `PublishShared`: tenants whose models
-/// share one `ServingModel` instance (a shared base model — the common
-/// fleet pattern for tenants on the same architecture and weights) also
-/// share its `InferenceBatcher`, so their concurrent rollouts coalesce into
-/// joint Q-network passes. Results stay bit-identical to serial per-tenant
-/// inference because `QValuesBatch` computes every row independently.
+/// `PublishShared` lets tenants share one `ServingModel` instance (a shared
+/// base model — the common fleet pattern for tenants on the same
+/// architecture and weights): one copy of the weights and one warm cost
+/// cache serve all of them. Each request still runs its own rollout, so a
+/// tenant's answer is bit-identical to serial inference on that model.
 class TenantDirectory {
  public:
   /// \brief The tenant's registry, created empty on first sight.
@@ -36,18 +35,6 @@ class TenantDirectory {
   /// namespace; each tenant assigns its own version number to it.
   void PublishShared(const std::vector<std::string>& tenants,
                      std::shared_ptr<serving::ServingModel> model);
-
-  /// \brief Build one shared servable from an agent snapshot — optionally
-  /// with the quantized fast path (`quantize.enabled`; ServingModel's
-  /// calibration gate decides whether the integer path actually serves) —
-  /// and publish it into every named tenant's namespace. Returns the shared
-  /// model, or the snapshot-restore error.
-  Result<std::shared_ptr<serving::ServingModel>> PublishSharedSnapshot(
-      const std::vector<std::string>& tenants, const schema::Schema* schema,
-      workload::Workload workload, advisor::AdvisorConfig config,
-      const costmodel::CostModel* cost_model, std::istream& snapshot,
-      serving::InferenceBatcher::Config batch = {},
-      serving::QuantizeSpec quantize = {});
 
   std::vector<std::string> Tenants() const;
   size_t size() const;

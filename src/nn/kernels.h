@@ -10,8 +10,8 @@
 #include "util/thread_pool.h"
 
 #if defined(__GNUC__) && defined(__x86_64__) && !defined(__clang__)
-/// Defined when the nn/ kernels (and the int8/int16 GEMVs of nn/quantized)
-/// are also compiled for wider x86-64 vector units and dispatched at runtime.
+/// Defined when the nn/ kernels are also compiled for wider x86-64 vector
+/// units and dispatched at runtime.
 #define LPA_NN_X86_DISPATCH 1
 #endif
 

@@ -126,10 +126,10 @@ class Mlp {
   /// \brief Total parameter count (for tests / reporting).
   size_t num_parameters() const;
 
-  /// \brief Read-only layer access (e.g. the nn/quantized.h quantizer, which
-  /// re-encodes the weights layer by layer). Layer l maps an
-  /// [n x in_l] activation to [n x out_l] via w [in_l x out_l] + bias
-  /// [1 x out_l]; every layer but the last is followed by ReLU.
+  /// \brief Read-only layer access (e.g. the weight digests and finiteness
+  /// checks of the tests). Layer l maps an [n x in_l] activation to
+  /// [n x out_l] via w [in_l x out_l] + bias [1 x out_l]; every layer but
+  /// the last is followed by ReLU.
   size_t num_layers() const { return layers_.size(); }
   const Matrix& layer_weights(size_t l) const { return layers_[l].w; }
   const Matrix& layer_bias(size_t l) const { return layers_[l].b; }

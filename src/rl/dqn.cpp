@@ -55,11 +55,17 @@ std::vector<double> LegalQValues(const nn::Mlp& q,
   return values;
 }
 
+/// The entry of `legal` with the largest Q-value, ties going to the
+/// earliest entry (first max).
 int GreedyLegalAction(const nn::Mlp& q, const nn::Matrix* action_enc,
                       const std::vector<double>& state_enc,
                       const std::vector<int>& legal) {
   std::vector<double> values = LegalQValues(q, action_enc, state_enc, legal);
-  return FirstMaxLegal(legal, [&values](size_t i) { return values[i]; });
+  size_t best = 0;
+  for (size_t i = 1; i < legal.size(); ++i) {
+    if (values[i] > values[best]) best = i;
+  }
+  return legal[best];
 }
 
 /// ε-greedy choice: draws rng->Uniform() first, then UniformInt only when
@@ -134,33 +140,6 @@ const nn::Matrix* DqnAgent::ActionEncodings() const {
 std::vector<double> DqnAgent::QValues(const std::vector<double>& state_enc,
                                       const std::vector<int>& legal) const {
   return LegalQValues(*q_, ActionEncodings(), state_enc, legal);
-}
-
-nn::Matrix DqnAgent::QValuesBatch(const nn::Matrix& state_encs) const {
-  LPA_CHECK(static_cast<int>(state_encs.cols()) == featurizer_->state_dim());
-  if (config_.mode == QNetworkMode::kMultiHead) {
-    return q_->Forward(state_encs);
-  }
-  const size_t n = state_encs.rows();
-  const size_t num_actions = static_cast<size_t>(actions_->size());
-  nn::Matrix rows(n * num_actions, static_cast<size_t>(InputDim()));
-  for (size_t r = 0; r < n; ++r) {
-    const double* s = state_encs.row(r);
-    for (size_t a = 0; a < num_actions; ++a) {
-      double* dst = rows.row(r * num_actions + a);
-      std::copy(s, s + state_encs.cols(), dst);
-      const double* enc = action_enc_.row(a);
-      std::copy(enc, enc + action_enc_.cols(), dst + state_encs.cols());
-    }
-  }
-  nn::Matrix out = q_->Forward(rows);
-  nn::Matrix q(n, num_actions);
-  for (size_t r = 0; r < n; ++r) {
-    for (size_t a = 0; a < num_actions; ++a) {
-      q.at(r, a) = out.at(r * num_actions + a, 0);
-    }
-  }
-  return q;
 }
 
 int DqnAgent::SelectAction(const std::vector<double>& state_enc,

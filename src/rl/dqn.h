@@ -54,18 +54,6 @@ struct DqnConfig {
   }
 };
 
-/// \brief The greedy selection every Q-source shares: the entry of `legal`
-/// with the largest Q-value, ties going to the earliest entry (first max).
-/// `q(i)` returns the Q-value of `legal[i]`.
-template <typename QOf>
-int FirstMaxLegal(const std::vector<int>& legal, QOf q) {
-  size_t best = 0;
-  for (size_t i = 1; i < legal.size(); ++i) {
-    if (q(i) > q(best)) best = i;
-  }
-  return legal[best];
-}
-
 // Transition and ReplayBuffer historically lived here; they moved to
 // rl/replay.h with the sharded actor/learner replay and are re-exported by
 // the include above.
@@ -117,16 +105,6 @@ class DqnAgent {
   std::vector<double> QValues(const std::vector<double>& state_enc,
                               const std::vector<int>& legal) const;
 
-  /// \brief Q-values of ALL actions for a batch of encoded states: row r of
-  /// the result holds Q(state_r, a) for every global action id a. One matrix
-  /// pass over the network (state-action mode expands each state against the
-  /// precomputed action-encoding matrix), so coalescing concurrent inference
-  /// requests into one call amortizes the forward pass. Row r is
-  /// bit-identical to the single-state QValues/GreedyAction path: the GEMM
-  /// accumulates each output element in a fixed order independent of the
-  /// batch's other rows.
-  nn::Matrix QValuesBatch(const nn::Matrix& state_encs) const;
-
   /// \brief ε-greedy action choice among `legal` (Algorithm 1 line 6).
   int SelectAction(const std::vector<double>& state_enc,
                    const std::vector<int>& legal, Rng* rng) const;
@@ -135,9 +113,9 @@ class DqnAgent {
   /// (see DqnPolicy). Cheap relative to an episode: one Mlp copy.
   DqnPolicy SnapshotPolicy() const;
 
-  /// \brief The online Q-network (read-only; e.g. the serving-side
-  /// quantizer). In multi-head mode its output row is indexed by global
-  /// action id.
+  /// \brief The online Q-network (read-only; e.g. the weight digests of
+  /// the learner tests). In multi-head mode its output row is indexed by
+  /// global action id.
   const nn::Mlp& q_network() const { return *q_; }
   /// \brief The target network that TD targets are read from (read-only).
   const nn::Mlp& target_network() const { return *target_; }

@@ -278,7 +278,6 @@ void Offer(double cost, const PartitioningState& state,
 /// One inference rollout: the loop every greedy and extra rollout runs.
 struct RolloutLoop {
   const DqnAgent* agent;
-  const GreedyActionFn* greedy_action;  ///< empty = agent->GreedyAction
   const partition::Featurizer* featurizer;
   const partition::ActionSpace* actions;
   const std::vector<double>* frequencies;
@@ -324,8 +323,7 @@ struct RolloutLoop {
             rng->UniformInt(0, static_cast<int64_t>(legal.size()) - 1))];
       } else {
         std::vector<double> enc = featurizer->EncodeState(state, *frequencies);
-        action = *greedy_action ? (*greedy_action)(enc, legal)
-                                : agent->GreedyAction(enc, legal);
+        action = agent->GreedyAction(enc, legal);
         ++counters->q_evals;
       }
       LPA_CHECK(actions->Apply(action, &state).ok());
@@ -372,8 +370,7 @@ InferenceResult EpisodeTrainer::Infer(const DqnAgent& agent,
   RolloutPricer greedy_pricer(env, &frequencies, &options, pruner, ctx);
   InferenceResult result{s0, greedy_pricer.Price(s0, {}, kInf).cost, {}};
   std::vector<TrajStep> traj;
-  RolloutLoop greedy{&agent, &options.greedy_action, featurizer_, actions_,
-                     &frequencies};
+  RolloutLoop greedy{&agent, featurizer_, actions_, &frequencies};
   greedy.record = &traj;
   greedy.Run(&greedy_pricer, &result, &counters, s0);
   for (const TrajStep& step : traj) result.actions.push_back(step.action);

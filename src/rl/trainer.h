@@ -79,11 +79,6 @@ struct InferenceResult {
   std::vector<int> actions;
 };
 
-/// \brief The greedy choice among `legal` at an encoded state: the Q-source
-/// of an inference rollout's non-exploring steps.
-using GreedyActionFn = std::function<int(const std::vector<double>& state_enc,
-                                         const std::vector<int>& legal)>;
-
 /// \brief Per-call settings of `EpisodeTrainer::Infer`.
 struct InferenceOptions {
   /// ε-randomized rollouts after the greedy one (0 = Sec 6's single greedy
@@ -103,8 +98,6 @@ struct InferenceOptions {
   const partition::PartitioningState* deployed = nullptr;
   double transition_weight = 0.0;
   const costmodel::CostModel* transition_model = nullptr;
-  /// Source of the greedy actions; empty means `agent.GreedyAction`.
-  GreedyActionFn greedy_action;
 };
 
 /// \brief Runs Algorithm 1 (and its online refinement variant) against any

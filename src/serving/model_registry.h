@@ -6,45 +6,19 @@
 
 #include "advisor/advisor.h"
 #include "costmodel/cost_model.h"
-#include "nn/quantized.h"
 #include "rl/offline_env.h"
 #include "rl/trainer.h"
-#include "serving/batcher.h"
 
 namespace lpa::serving {
 
-/// \brief Per-snapshot request for the quantized inference fast path.
-///
-/// When enabled, the ServingModel quantizes the agent's Q-network
-/// (nn::QuantizedMlp: per-layer symmetric scales, integer accumulation) and
-/// calibrates it on the state encodings visited by `calibration_rollouts`
-/// greedy fp64 rollouts over seeded uniform frequency draws. The quantized
-/// network only serves if it passes the calibration gate: its legal-action
-/// argmax must match fp64 on 100% of the calibration set (same first-max
-/// tie-break as Suggest). On any disagreement — or on a state-action-input
-/// agent, whose quantized output rows would not be action-indexed — the
-/// model falls back to the fp64 path and records the rejection.
-struct QuantizeSpec {
-  bool enabled = false;
-  nn::QuantPrecision precision = nn::QuantPrecision::kInt8;
-  /// Greedy rollouts whose visited states form the calibration set
-  /// (each contributes tmax states).
-  int calibration_rollouts = 8;
-  /// Seed of the calibration frequency draws; fixed by default so the gate
-  /// verdict for a given snapshot is reproducible.
-  uint64_t calibration_seed = 0x9e11ab;
-};
-
 /// \brief One immutable servable model version: a trained (or
-/// snapshot-restored) advisor, its own pricing environment, and the
-/// inference batcher that coalesces concurrent rollouts against it.
+/// snapshot-restored) advisor and its own pricing environment.
 ///
 /// Suggest runs the deterministic greedy inference rollout of Sec 6 — the
 /// exact policy `PartitioningAdvisor::Suggest` serves with
-/// `inference_extra_rollouts = 0` — with every Q-network evaluation routed
-/// through the batcher. Results are bit-identical to the unbatched advisor
-/// call for the same model and frequencies, at any batch size or worker
-/// count. Thread-safe: the network weights are only read, the pricing
+/// `inference_extra_rollouts = 0` — on the calling thread, so its result is
+/// bit-identical to the advisor's for the same model and frequencies, at any
+/// worker count. Thread-safe: the network weights are only read, the pricing
 /// environment's cost cache is sharded and concurrent, and each request
 /// prices states through its own incremental-cost tracker.
 ///
@@ -53,9 +27,7 @@ class ServingModel {
  public:
   /// \brief Wrap an already-trained advisor (takes ownership).
   ServingModel(std::unique_ptr<advisor::PartitioningAdvisor> advisor,
-               const costmodel::CostModel* cost_model,
-               InferenceBatcher::Config batch = {},
-               QuantizeSpec quantize = {});
+               const costmodel::CostModel* cost_model);
 
   /// \brief Rebuild an advisor from (schema, workload, config) and restore
   /// `snapshot` into it — the hot-swap path: load a new training run's
@@ -63,43 +35,19 @@ class ServingModel {
   static Result<std::shared_ptr<ServingModel>> FromSnapshot(
       const schema::Schema* schema, workload::Workload workload,
       advisor::AdvisorConfig config, const costmodel::CostModel* cost_model,
-      std::istream& snapshot, InferenceBatcher::Config batch = {},
-      QuantizeSpec quantize = {});
+      std::istream& snapshot);
 
-  /// \brief Greedy inference rollout for one frequency vector, with batched
-  /// Q-evaluation. Safe to call from any number of threads.
+  /// \brief Greedy inference rollout for one frequency vector. Safe to call
+  /// from any number of threads.
   rl::InferenceResult Suggest(const std::vector<double>& frequencies);
 
   const advisor::PartitioningAdvisor& advisor() const { return *advisor_; }
-  InferenceBatcher* batcher() { return &batcher_; }
-
-  /// \brief Outcome of this model's quantization request.
-  enum class QuantState {
-    kOff,       ///< quantization not requested
-    kActive,    ///< gate passed; Suggest serves through the integer path
-    kRejected,  ///< gate failed (or unsupported agent mode); fp64 serves
-  };
-  QuantState quant_state() const { return quant_state_; }
-  /// \brief Fraction of calibration states whose legal-action argmax matched
-  /// fp64 (1.0 when active; < 1.0 explains a rejection; 0.0 when never
-  /// evaluated).
-  double calibration_agreement() const { return calibration_agreement_; }
-  bool quantized() const { return quant_state_ == QuantState::kActive; }
 
  private:
-  /// Quantize + calibration-gate; called from the ctor when requested.
-  void TryQuantize(const QuantizeSpec& spec);
-
   std::unique_ptr<advisor::PartitioningAdvisor> advisor_;
-  const costmodel::CostModel* cost_model_;
   /// Own pricing environment so snapshot-restored advisors (which never ran
   /// TrainOffline) serve directly.
   std::unique_ptr<rl::OfflineEnv> env_;
-  InferenceBatcher batcher_;
-  /// Owned integer network the batcher borrows while quant_state_ is active.
-  std::unique_ptr<nn::QuantizedMlp> quantized_;
-  QuantState quant_state_ = QuantState::kOff;
-  double calibration_agreement_ = 0.0;
 };
 
 /// \brief A servable model together with the version its registry assigned.

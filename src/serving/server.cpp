@@ -42,6 +42,19 @@ double Seconds(std::chrono::steady_clock::duration d) {
   return std::chrono::duration<double>(d).count();
 }
 
+/// `seconds` after `from`; time_point::max() (no deadline) when that lies
+/// beyond what the clock can represent (1e300, +inf): casting such a value
+/// to clock ticks would overflow.
+std::chrono::steady_clock::time_point DeadlineAfter(
+    std::chrono::steady_clock::time_point from, double seconds) {
+  using Clock = std::chrono::steady_clock;
+  const std::chrono::duration<double> wanted(seconds);
+  if (wanted >= Clock::time_point::max() - from) {
+    return Clock::time_point::max();
+  }
+  return from + std::chrono::duration_cast<Clock::duration>(wanted);
+}
+
 }  // namespace
 
 AdvisorServer::AdvisorServer(ModelRegistry* registry, ServerConfig config)
@@ -124,13 +137,11 @@ std::future<SuggestResponse> AdvisorServer::SubmitAsync(
   request.registry = registry;
   request.sink = sink;
   request.submitted_at = Clock::now();
-  double deadline =
+  const double deadline =
       deadline_seconds < 0.0 ? config_.default_deadline_seconds
                              : deadline_seconds;
   request.deadline = deadline > 0.0
-                         ? request.submitted_at +
-                               std::chrono::duration_cast<Clock::duration>(
-                                   std::chrono::duration<double>(deadline))
+                         ? DeadlineAfter(request.submitted_at, deadline)
                          : Clock::time_point::max();
   std::future<SuggestResponse> future = request.promise.get_future();
 

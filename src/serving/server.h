@@ -23,9 +23,8 @@ struct ServerConfig {
   int worker_threads = 2;
   /// Bounded request queue; a full queue rejects (admission control).
   size_t queue_capacity = 256;
-  /// Cross-request batching of Q-network passes (per model).
-  InferenceBatcher::Config batch;
-  /// Deadline applied to requests that do not carry their own; <= 0 = none.
+  /// Deadline applied to requests that do not carry their own; <= 0 = none,
+  /// and so is one too far off for the steady clock to represent (+inf).
   /// Requests whose deadline passed before a worker picked them up are shed
   /// with DeadlineExceeded instead of wasting inference on a stale answer.
   double default_deadline_seconds = 0.0;
@@ -58,7 +57,7 @@ struct RequestSink {
 
 /// \brief The advisor serving layer: worker threads pull Suggest requests
 /// from a bounded MPMC queue, resolve the current model from the registry
-/// (RCU hot swap), and run batched inference rollouts.
+/// (RCU hot swap), and each runs its request's inference rollout itself.
 ///
 /// Every submitted request gets exactly one response — completed, rejected
 /// at admission (queue full / server stopped), shed past its deadline, or
@@ -92,8 +91,9 @@ class AdvisorServer {
   bool running() const;
 
   /// \brief Submit one suggestion request. `deadline_seconds` < 0 uses the
-  /// config default; 0 disables the deadline. The returned future always
-  /// resolves — immediately (with a rejection) when admission fails.
+  /// config default; 0, or a deadline beyond the steady clock's range,
+  /// disables the deadline. The returned future always resolves —
+  /// immediately (with a rejection) when admission fails.
   std::future<SuggestResponse> SubmitAsync(std::vector<double> frequencies,
                                            double deadline_seconds = -1.0);
 

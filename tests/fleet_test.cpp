@@ -1,8 +1,8 @@
 // Tests of the multi-tenant serving fleet: consistent-hash ring determinism
 // and bounded remap under shard add/remove, per-tenant model namespaces with
 // independent hot swaps, token-bucket quota fairness (hot tenant capped while
-// cold tenants progress, zero enforcement violations), cross-tenant batched
-// inference bit-identical to the serial advisor, 100+ tenants served
+// cold tenants progress, zero enforcement violations), tenants sharing one
+// model served bit-identically to the serial advisor, 100+ tenants served
 // concurrently, and live fleet resizing with zero dropped requests.
 
 #include <gtest/gtest.h>
@@ -34,7 +34,6 @@ namespace {
 using advisor::AdvisorConfig;
 using advisor::PartitioningAdvisor;
 using costmodel::HardwareProfile;
-using serving::InferenceBatcher;
 using serving::ModelRegistry;
 using serving::ServingModel;
 using serving::SuggestResponse;
@@ -205,11 +204,10 @@ class FleetTest : public ::testing::Test {
     return config;
   }
 
-  static std::shared_ptr<ServingModel> MakeModel(
-      InferenceBatcher::Config batch = {}) {
+  static std::shared_ptr<ServingModel> MakeModel() {
     std::istringstream snapshot(*snapshot_);
     auto model = ServingModel::FromSnapshot(schema_, *workload_, FastConfig(),
-                                            model_, snapshot, batch);
+                                            model_, snapshot);
     EXPECT_TRUE(model.ok()) << model.status().ToString();
     return *model;
   }
@@ -347,26 +345,22 @@ TEST_F(FleetTest, UnknownTenantFailsCleanlyAndStoppedFleetRejects) {
   EXPECT_TRUE(stats.Settled());
 }
 
-TEST_F(FleetTest, CrossTenantBatchingBitIdenticalToSerial) {
-  // Tenants sharing one ServingModel instance share its InferenceBatcher:
-  // concurrent rollouts from different tenants coalesce into joint Q-passes.
-  // The answers must still be bit-identical to the serial advisor.
+TEST_F(FleetTest, TenantsSharingOneModelBitIdenticalToSerial) {
+  // Tenants sharing one ServingModel instance run concurrent rollouts on the
+  // same weights and cost cache, from different shards' workers. The
+  // answers must still be bit-identical to the serial advisor.
   constexpr int kRequests = 8;
   std::vector<rl::InferenceResult> expected;
   for (int i = 0; i < kRequests; ++i) expected.push_back(SerialSuggest(Mix(i)));
 
-  InferenceBatcher::Config batch;
-  batch.max_batch = 4;
-  batch.window_seconds = 0.2;
   TenantDirectory directory;
   std::vector<std::string> tenants;
   for (int t = 0; t < 4; ++t) tenants.push_back(TenantName(t));
-  directory.PublishShared(tenants, MakeModel(batch));
+  directory.PublishShared(tenants, MakeModel());
 
   FleetConfig config;
   config.shards = 2;
   config.server.worker_threads = 4;
-  config.server.batch = batch;
   FleetRouter router(&directory, config);
   ASSERT_TRUE(router.Start().ok());
 
@@ -520,7 +514,7 @@ TEST_F(FleetTest, HundredTenantsServeConcurrentlyWithFullAccounting) {
   std::vector<std::string> tenants;
   for (int t = 0; t < kTenants; ++t) tenants.push_back(TenantName(t));
   // One shared base model: the realistic fleet shape, and the one that
-  // exercises cross-tenant batching at scale.
+  // runs many tenants' rollouts on one model at once.
   directory.PublishShared(tenants, MakeModel());
 
   FleetConfig config;

@@ -1,14 +1,15 @@
 // Tests of the serving subsystem: the bounded request queue's admission and
-// shutdown semantics, cross-request inference batching (bit-identical to
-// serial inference), admission control and deadline shedding in the server,
-// RCU model hot-swap under concurrent load, and the load generator's
-// request accounting.
+// shutdown semantics, served suggestions bit-identical to serial inference
+// at any worker count, admission control and deadline shedding in the
+// server, RCU model hot-swap under concurrent load, and the load
+// generator's request accounting.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <future>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -16,7 +17,6 @@
 
 #include "advisor/advisor.h"
 #include "advisor/serialization.h"
-#include "nn/matrix.h"
 #include "schema/catalogs.h"
 #include "serving/loadgen.h"
 #include "serving/model_registry.h"
@@ -121,17 +121,16 @@ class ServingTest : public ::testing::Test {
   }
 
   /// A snapshot-restored servable model (the hot-swap load path).
-  static std::shared_ptr<ServingModel> MakeModel(
-      InferenceBatcher::Config batch = {}) {
+  static std::shared_ptr<ServingModel> MakeModel() {
     std::istringstream snapshot(*snapshot_);
     auto model = ServingModel::FromSnapshot(schema_, *workload_, FastConfig(),
-                                            model_, snapshot, batch);
+                                            model_, snapshot);
     EXPECT_TRUE(model.ok()) << model.status().ToString();
     return *model;
   }
 
   /// The serial reference: a fresh advisor restored from the same snapshot,
-  /// suggesting through the unbatched single-request code path.
+  /// suggesting on the calling thread without a server.
   static rl::InferenceResult SerialSuggest(
       const std::vector<double>& frequencies) {
     PartitioningAdvisor advisor(schema_, *workload_, FastConfig());
@@ -160,107 +159,43 @@ costmodel::CostModel* ServingTest::model_ = nullptr;
 std::string* ServingTest::snapshot_ = nullptr;
 
 // ---------------------------------------------------------------------------
-// Batched inference bit-identity
+// Served inference bit-identity
 
-TEST_F(ServingTest, QValuesBatchMatchesSingleStatePath) {
-  for (rl::QNetworkMode mode :
-       {rl::QNetworkMode::kMultiHead, rl::QNetworkMode::kStateActionInput}) {
-    AdvisorConfig config = FastConfig();
-    config.dqn.mode = mode;
-    PartitioningAdvisor advisor(schema_, *workload_, config);
-    const partition::Featurizer& featurizer = advisor.featurizer();
-    const partition::ActionSpace& actions = advisor.actions();
-    const rl::DqnAgent& agent = *advisor.agent();
-
-    std::vector<int> all_actions(static_cast<size_t>(actions.size()));
-    for (int i = 0; i < actions.size(); ++i) all_actions[(size_t)i] = i;
-
-    // A batch of distinct states: the initial state under three frequency
-    // mixes plus two states one legal action deep.
-    partition::PartitioningState s0 =
-        partition::PartitioningState::Initial(schema_, &advisor.edges());
-    std::vector<std::vector<double>> encs;
-    for (int hot = 0; hot < 3; ++hot) {
-      encs.push_back(featurizer.EncodeState(s0, Mix(hot)));
-    }
-    std::vector<int> legal = actions.LegalActions(s0);
-    ASSERT_GE(legal.size(), 2u);
-    for (size_t i = 0; i < 2; ++i) {
-      partition::PartitioningState s = s0;
-      ASSERT_TRUE(actions.Apply(legal[i], &s).ok());
-      encs.push_back(featurizer.EncodeState(s, Mix(0)));
-    }
-
-    nn::Matrix batched = agent.QValuesBatch(nn::Matrix::FromRows(encs));
-    ASSERT_EQ(batched.rows(), encs.size());
-    ASSERT_EQ(batched.cols(), static_cast<size_t>(actions.size()));
-    for (size_t r = 0; r < encs.size(); ++r) {
-      std::vector<double> single = agent.QValues(encs[r], all_actions);
-      for (size_t a = 0; a < single.size(); ++a) {
-        // Exact double equality: batching must not perturb a single bit.
-        EXPECT_EQ(batched.at(r, a), single[a])
-            << "mode=" << static_cast<int>(mode) << " row=" << r
-            << " action=" << a;
-      }
-    }
-  }
-}
-
-TEST_F(ServingTest, BatchedServingBitIdenticalToSerialAdvisor) {
+TEST_F(ServingTest, ServedBitIdenticalToSerialAdvisorAtAnyWorkerCount) {
   constexpr int kRequests = 8;
   std::vector<rl::InferenceResult> expected;
   for (int i = 0; i < kRequests; ++i) expected.push_back(SerialSuggest(Mix(i)));
 
-  // Serve the same mixes concurrently through 4 workers with a wide batching
-  // window so Q-passes actually coalesce.
-  InferenceBatcher::Config batch;
-  batch.max_batch = 4;
-  batch.window_seconds = 0.2;
-  ModelRegistry registry;
-  registry.Publish(MakeModel(batch));
-  ServerConfig config;
-  config.worker_threads = 4;
-  config.batch = batch;
-  AdvisorServer server(&registry, config);
-  ASSERT_TRUE(server.Start().ok());
+  // Serve the same mixes concurrently: with more workers than one, the
+  // rollouts of different requests run at the same time on one model.
+  for (int workers : {1, 2, 4, 8}) {
+    SCOPED_TRACE(testing::Message() << workers << " worker(s)");
+    ModelRegistry registry;
+    registry.Publish(MakeModel());
+    ServerConfig config;
+    config.worker_threads = workers;
+    AdvisorServer server(&registry, config);
+    ASSERT_TRUE(server.Start().ok());
 
-  std::vector<std::future<SuggestResponse>> futures;
-  for (int i = 0; i < kRequests; ++i) {
-    futures.push_back(server.SubmitAsync(Mix(i)));
+    std::vector<std::future<SuggestResponse>> futures;
+    for (int i = 0; i < kRequests; ++i) {
+      futures.push_back(server.SubmitAsync(Mix(i)));
+    }
+    for (int i = 0; i < kRequests; ++i) {
+      SuggestResponse response = futures[(size_t)i].get();
+      ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+      EXPECT_EQ(response.model_version, 1u);
+      // Bit-identical: same action sequence, same exact cost, same design.
+      EXPECT_EQ(response.result->actions, expected[(size_t)i].actions);
+      EXPECT_EQ(response.result->best_cost, expected[(size_t)i].best_cost);
+      EXPECT_EQ(response.result->best_state.PhysicalDesignKey(),
+                expected[(size_t)i].best_state.PhysicalDesignKey());
+    }
+    server.Stop();
+    auto stats = server.stats();
+    EXPECT_EQ(stats.submitted, static_cast<uint64_t>(kRequests));
+    EXPECT_EQ(stats.completed, static_cast<uint64_t>(kRequests));
   }
-  for (int i = 0; i < kRequests; ++i) {
-    SuggestResponse response = futures[(size_t)i].get();
-    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-    EXPECT_EQ(response.model_version, 1u);
-    // Bit-identical: same action sequence, same exact cost, same design.
-    EXPECT_EQ(response.result->actions, expected[(size_t)i].actions);
-    EXPECT_EQ(response.result->best_cost, expected[(size_t)i].best_cost);
-    EXPECT_EQ(response.result->best_state.PhysicalDesignKey(),
-              expected[(size_t)i].best_state.PhysicalDesignKey());
-  }
-  server.Stop();
-  auto stats = server.stats();
-  EXPECT_EQ(stats.submitted, static_cast<uint64_t>(kRequests));
-  EXPECT_EQ(stats.completed, static_cast<uint64_t>(kRequests));
-}
-
-TEST_F(ServingTest, LoneRequestDoesNotWaitForTheBatchWindow) {
-  // One client, an hour-long window: if a lone rollout waited for the
-  // window this test would time out; it must fire immediately because no
-  // other rollout is active.
-  InferenceBatcher::Config batch;
-  batch.window_seconds = 3600.0;
-  ModelRegistry registry;
-  registry.Publish(MakeModel(batch));
-  ServerConfig config;
-  config.worker_threads = 1;
-  config.batch = batch;
-  AdvisorServer server(&registry, config);
-  ASSERT_TRUE(server.Start().ok());
-  SuggestResponse response = server.Suggest(Mix(0));
-  EXPECT_TRUE(response.status.ok());
-  EXPECT_EQ(response.result->actions, SerialSuggest(Mix(0)).actions);
-  server.Stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -322,6 +257,39 @@ TEST_F(ServingTest, ExpiredDeadlinesAreShedNotServed) {
   auto stats = server.stats();
   EXPECT_EQ(stats.shed, 1u);
   EXPECT_EQ(stats.completed, 1u);
+}
+
+// A deadline further off than the steady clock can represent means no
+// deadline: it must neither overflow into one that has already passed nor
+// shed the request. The same holds for the server's default deadline.
+TEST_F(ServingTest, DeadlinesBeyondTheClockRangeAreNoDeadline) {
+  ModelRegistry registry;
+  registry.Publish(MakeModel());
+  ServerConfig config;
+  config.worker_threads = 1;
+  AdvisorServer server(&registry, config);
+  ASSERT_TRUE(server.Start().ok());
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (double deadline : {3600.0, 1e10, 1e300, kInf}) {
+    SuggestResponse response = server.Suggest(Mix(0), deadline);
+    EXPECT_TRUE(response.status.ok())
+        << "deadline " << deadline << ": " << response.status.ToString();
+  }
+  server.Stop();
+  EXPECT_EQ(server.stats().completed, 4u);
+  EXPECT_EQ(server.stats().shed, 0u);
+
+  for (double default_deadline : {1e10, 1e300, kInf}) {
+    config.default_deadline_seconds = default_deadline;
+    AdvisorServer defaulted(&registry, config);
+    ASSERT_TRUE(defaulted.Start().ok());
+    SuggestResponse response = defaulted.Suggest(Mix(1));
+    EXPECT_TRUE(response.status.ok())
+        << "default deadline " << default_deadline << ": "
+        << response.status.ToString();
+    defaulted.Stop();
+    EXPECT_EQ(defaulted.stats().shed, 0u);
+  }
 }
 
 TEST_F(ServingTest, RequestsFailCleanlyWithNoModelPublished) {

@@ -5,7 +5,7 @@
 #   $ tools/check.sh                 # ASan+UBSan (default)
 #   $ tools/check.sh tsan            # ThreadSanitizer on the threaded tests
 #   $ tools/check.sh perf            # Release micro-bench: planner, learner, perf kernels
-#   $ tools/check.sh serve           # TSan serving tests + loadgen smoke
+#   $ tools/check.sh serve           # TSan serving tests + closed/open-loop loadgen smoke
 #   $ tools/check.sh fleet           # TSan fleet tests + 100-tenant smoke
 #   $ tools/check.sh autopilot       # TSan autopilot tests + bench smoke
 #   $ tools/check.sh storage         # ASan+UBSan storage/engine + compression smoke
@@ -28,10 +28,14 @@
 # it).
 #
 # The serve preset builds serving_test and lpa_loadgen under TSan, runs the
-# serving tests, then drives a ~5-second loadgen smoke (1/2/8 workers with a
-# halftime hot swap). The loadgen asserts its correctness counters — every
+# serving tests (served results bit-identical to serial at 1/2/4/8 workers),
+# then drives two loadgen smokes: ~5 seconds of closed-loop traffic (1/2/8
+# workers with a halftime hot swap) and 1.5 seconds of open-loop arrivals at
+# 2 workers, where requests land regardless of replies and may queue, be
+# rejected or be shed. The loadgen asserts its correctness counters — every
 # request completed, rejected, or shed; zero dropped — and exits non-zero on
-# violation; BENCH_serving.json lands in $LPA_METRICS_DIR (or build-tsan).
+# violation; BENCH_serving.json (of the last run) lands in $LPA_METRICS_DIR
+# (or build-tsan).
 #
 # The fleet preset builds the multi-tenant fleet tests and lpa_loadgen under
 # TSan, runs the fleet + serving tests, then drives a 100-tenant loadgen
@@ -70,9 +74,9 @@
 #
 # The train preset builds the actor/learner pipeline tests (actor_learner_test
 # runs the deterministic digest checks at 1, 2, and 8 actor threads plus the
-# SPSC shard and fast-mode interleavings TSan exists for), rl_test,
-# quantized_test, the learner's golden test (forward, weight and loss digests
-# at 1, 2, 4 and 8 threads, whose pooled steps run the learner's regions),
+# SPSC shard and fast-mode interleavings TSan exists for), rl_test, the
+# learner's golden test (forward, weight and loss digests at 1, 2, 4 and 8
+# threads, whose pooled steps run the learner's regions),
 # parallel_eval_test (a learner step while every pool worker is blocked, and
 # two agents training at once on child contexts of one pool) and the
 # per-variant kernel test (every compiled SIMD variant of the nn/ kernels
@@ -151,6 +155,12 @@ if [[ "${PRESET}" == "serve" ]]; then
   LPA_BENCH_SCALE="${LPA_BENCH_SCALE:-4}" \
     "${BUILD_DIR}/tools/lpa_loadgen" --schema micro --episodes 16 \
       --workers 1,2,8 --duration 1.5 --hotswap
+  echo "== loadgen smoke: open loop, 2 workers =="
+  TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
+  LPA_METRICS_DIR="${LPA_METRICS_DIR:-${BUILD_DIR}}" \
+  LPA_BENCH_SCALE="${LPA_BENCH_SCALE:-4}" \
+    "${BUILD_DIR}/tools/lpa_loadgen" --schema micro --episodes 16 \
+      --workers 2 --duration 1.5 --mode open --qps 400
   echo "== OK: serving tests TSan-clean, loadgen counters consistent =="
   exit 0
 fi
@@ -221,14 +231,14 @@ if [[ "${PRESET}" == "train" ]]; then
   echo "== configure (${BUILD_DIR}, -fsanitize=thread) =="
   cmake -B "${BUILD_DIR}" -S . -DLPA_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
-  echo "== build actor_learner_test + rl_test + quantized_test + learner + pool tests + bench =="
+  echo "== build actor_learner_test + rl_test + learner + pool tests + bench =="
   cmake --build "${BUILD_DIR}" -j "${JOBS}" --target actor_learner_test \
-    rl_test quantized_test learner_golden_test nn_kernels_test \
-    parallel_eval_test bench_micro_components
-  echo "== actor/learner + rl + quantized + learner + pool tests (TSan, 1/2/8 actor threads) =="
+    rl_test learner_golden_test nn_kernels_test parallel_eval_test \
+    bench_micro_components
+  echo "== actor/learner + rl + learner + pool tests (TSan, 1/2/8 actor threads) =="
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir "${BUILD_DIR}" --output-on-failure \
-      -R 'actor_learner_test|rl_test|quantized_test|learner_golden_test|nn_kernels_test|parallel_eval_test'
+      -R 'actor_learner_test|rl_test|learner_golden_test|nn_kernels_test|parallel_eval_test'
   echo "== training kernel: digest equality at 1/2/8 threads + fast mode =="
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
   LPA_METRICS_DIR="${LPA_METRICS_DIR:-${BUILD_DIR}}" \

@@ -10,7 +10,7 @@
 // --tenants N (> 0) switches to multi-tenant fleet mode: N tenants with
 // Zipf-distributed popularity are sharded across --shards AdvisorServer
 // instances behind a fleet::FleetRouter, sharing --model-pool base models
-// (tenant i serves pool model i mod K, so cross-tenant batching engages).
+// (tenant i serves pool model i mod K).
 // --quota-rate/--quota-burst meter every tenant's admission with a token
 // bucket; --hotswap republishes the hottest tenants' models at halftime.
 // Per-tenant p50/p95/p99 and fairness counters go to BENCH_serving.json;
@@ -38,8 +38,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -96,13 +96,9 @@ int main(int argc, char** argv) {
   std::string mode = "closed";
   int episodes = 40;
   int clients = 4;
-  int max_batch = 8;
   int queue_capacity = 256;
   double qps = 100.0;
   double duration = 5.0;
-  double batch_window = 200e-6;
-  double batch_wait_us = 0.0;
-  std::string quantize_mode = "off";
   double deadline = 0.0;
   bool hotswap = false;
   int tenants = 0;
@@ -125,17 +121,6 @@ int main(int argc, char** argv) {
   parser.AddInt("clients", "closed-loop concurrent clients", &clients);
   parser.AddDouble("qps", "open-loop target arrival rate", &qps);
   parser.AddDouble("duration", "seconds per sweep point", &duration);
-  parser.AddDouble("batch-window", "batching window seconds", &batch_window);
-  parser.AddDouble("batch_wait_us",
-                   "bounded micro-batch wait window in microseconds: leaders "
-                   "hold a batch for the full window even with no visible "
-                   "peer (open-loop arrivals); 0 keeps closed-loop joins only",
-                   &batch_wait_us);
-  parser.AddString("quantize",
-                   "off|int8|int16: quantized inference fast path (gated on "
-                   "100% calibration action agreement)",
-                   &quantize_mode);
-  parser.AddInt("max-batch", "max coalesced rows per matrix pass", &max_batch);
   parser.AddInt("queue-capacity", "bounded request queue size",
                 &queue_capacity);
   parser.AddDouble("deadline", "per-request deadline seconds (0 = none)",
@@ -161,11 +146,6 @@ int main(int argc, char** argv) {
   }
   if (mode != "closed" && mode != "open") {
     std::cerr << "--mode must be closed or open\n";
-    return 2;
-  }
-  if (quantize_mode != "off" && quantize_mode != "int8" &&
-      quantize_mode != "int16") {
-    std::cerr << "--quantize must be off, int8, or int16\n";
     return 2;
   }
   if (tenants > 0 && (shards < 1 || model_pool < 1)) {
@@ -195,8 +175,6 @@ int main(int argc, char** argv) {
   report.set_engine_profile(bench::EngineName(kind));
   report.Note("mode", tenants > 0 ? "fleet" : mode);
   report.Note("hotswap", hotswap ? "yes" : "no");
-  report.Note("batch_wait_us", FormatDouble(batch_wait_us, 1));
-  report.Note("quantize", quantize_mode);
   report.Note("hardware_threads",
               std::to_string(std::thread::hardware_concurrency()));
   if (tenants > 0) {
@@ -238,28 +216,12 @@ int main(int argc, char** argv) {
   }
   const std::string snapshot_bytes = snapshot.str();
 
-  serving::InferenceBatcher::Config batch;
-  batch.max_batch = max_batch;
-  batch.window_seconds = batch_window;
-  if (batch_wait_us > 0.0) {
-    // Open-loop arrivals are invisible to the active-rollout count until
-    // they land; a bounded wait window lets leaders collect them.
-    batch.window_seconds = batch_wait_us * 1e-6;
-    batch.wait_for_window = true;
-  }
-
-  serving::QuantizeSpec qspec;
-  qspec.enabled = quantize_mode != "off";
-  qspec.precision = quantize_mode == "int16" ? nn::QuantPrecision::kInt16
-                                             : nn::QuantPrecision::kInt8;
-
   // --- Multi-tenant fleet sweep -------------------------------------------
   if (tenants > 0) {
     auto load_model = [&]() -> std::shared_ptr<serving::ServingModel> {
       std::istringstream snap(snapshot_bytes);
       auto model = serving::ServingModel::FromSnapshot(
-          tb.schema.get(), *tb.workload, config, tb.exact_model.get(), snap,
-          batch, qspec);
+          tb.schema.get(), *tb.workload, config, tb.exact_model.get(), snap);
       if (!model.ok()) {
         std::cerr << "model load failed: " << model.status().ToString()
                   << "\n";
@@ -269,19 +231,12 @@ int main(int argc, char** argv) {
     };
 
     // K distinct base models; tenant i serves pool model i mod K, so each
-    // pool group shares one ServingModel instance and its batcher —
-    // cross-tenant batching at fleet scale.
+    // pool group shares one ServingModel instance.
     std::vector<std::shared_ptr<serving::ServingModel>> pool;
     for (int k = 0; k < model_pool; ++k) {
       auto model = load_model();
       if (model == nullptr) return 1;
       pool.push_back(std::move(model));
-    }
-    if (qspec.enabled) {
-      report.Note("fleet_quantized", pool[0]->quantized() ? "active"
-                                                          : "rejected");
-      report.Note("fleet_quant_agreement",
-                  FormatDouble(pool[0]->calibration_agreement(), 4));
     }
 
     TablePrinter table({"workers", "submitted", "quota_rej", "completed",
@@ -296,21 +251,7 @@ int main(int argc, char** argv) {
             fleet::TenantName(t));
       }
       for (size_t k = 0; k < pool.size(); ++k) {
-        if (qspec.enabled) {
-          // Exercise the snapshot-to-fleet path: build + gate + publish the
-          // shared quantized servable in one directory call.
-          std::istringstream snap(snapshot_bytes);
-          auto shared = directory.PublishSharedSnapshot(
-              groups[k], tb.schema.get(), *tb.workload, config,
-              tb.exact_model.get(), snap, batch, qspec);
-          if (!shared.ok()) {
-            std::cerr << "fleet quantized publish failed: "
-                      << shared.status().ToString() << "\n";
-            return 1;
-          }
-        } else {
-          directory.PublishShared(groups[k], pool[k]);
-        }
+        directory.PublishShared(groups[k], pool[k]);
       }
 
       fleet::FleetConfig fleet_config;
@@ -319,7 +260,6 @@ int main(int argc, char** argv) {
       fleet_config.server.worker_threads = workers;
       fleet_config.server.queue_capacity =
           static_cast<size_t>(queue_capacity);
-      fleet_config.server.batch = batch;
       fleet_config.server.default_deadline_seconds = deadline;
       fleet_config.default_quota = {quota_rate, quota_burst};
       fleet::FleetRouter router(&directory, fleet_config);
@@ -450,7 +390,6 @@ int main(int argc, char** argv) {
     scenario_kind = *autopilot_options.Kind();  // validated above
     autopilot::AutopilotConfig loop;
     loop.retrain.async = true;  // Tick stays cheap; training off-thread
-    loop.retrain.batch = batch;
     loop.retrain.seed = common.seed + 17;
     autopilot::ApplyScenarioOverrides(scenario_kind, &loop);
     pilot = std::make_unique<autopilot::Autopilot>(
@@ -467,159 +406,108 @@ int main(int argc, char** argv) {
     report.Note("autopilot", autopilot::ScenarioName(scenario_kind));
   } else {
     registry.Publish(std::make_shared<serving::ServingModel>(
-        std::move(advisor), tb.exact_model.get(), batch));
+        std::move(advisor), tb.exact_model.get()));
   }
 
   // --- Sweep worker-thread counts ----------------------------------------
-  // One sweep = every worker count against one registry; reused below for
-  // the quantized fast-path comparison run (no hotswap / autopilot there).
-  bool counters_ok = true;
-  auto run_sweep = [&](serving::ModelRegistry* reg, TablePrinter* tbl,
-                       std::map<int, double>* p50_by_workers,
-                       bool allow_hotswap, bool with_autopilot) {
-    for (int workers : worker_counts) {
-      serving::ServerConfig server_config;
-      server_config.worker_threads = workers;
-      server_config.queue_capacity = static_cast<size_t>(queue_capacity);
-      server_config.batch = batch;
-      server_config.default_deadline_seconds = deadline;
-      serving::AdvisorServer server(reg, server_config);
-      if (Status st = server.Start(); !st.ok()) {
-        std::cerr << "server start failed: " << st.ToString() << "\n";
-        counters_ok = false;
-        return;
-      }
-
-      serving::LoadgenOptions options;
-      options.open_loop = mode == "open";
-      options.clients = clients;
-      options.qps = qps;
-      options.duration_seconds = duration;
-      options.seed = HashCombine(common.seed, static_cast<uint64_t>(workers));
-      options.num_queries = num_queries;
-
-      std::function<void()> at_halftime;
-      if (allow_hotswap && hotswap) {
-        at_halftime = [&] {
-          std::istringstream snap(snapshot_bytes);
-          auto model = serving::ServingModel::FromSnapshot(
-              tb.schema.get(), *tb.workload, config, tb.exact_model.get(),
-              snap, batch);
-          if (!model.ok()) {
-            std::cerr << "hot-swap load failed: " << model.status().ToString()
-                      << "\n";
-            return;
-          }
-          uint64_t version = reg->Publish(*model);
-          std::cerr << "  hot-swapped to model v" << version << "\n";
-        };
-      }
-
-      std::cerr << "loadgen: " << workers << " worker(s), " << mode
-                << "-loop, " << duration << "s...\n";
-
-      // The autopilot control plane ticks on its own thread while the
-      // loadgen saturates the server — the swaps land mid-traffic, which is
-      // the point.
-      std::atomic<bool> control_stop{false};
-      std::thread control;
-      if (with_autopilot && pilot != nullptr) {
-        control = std::thread([&] {
-          while (!control_stop.load(std::memory_order_acquire)) {
-            auto outcome = driver->Step(&std::cerr);
-            if (!outcome.ok()) {
-              std::cerr << "autopilot tick failed: "
-                        << outcome.status().ToString() << "\n";
-              break;
-            }
-            std::this_thread::sleep_for(std::chrono::milliseconds(100));
-          }
-        });
-      }
-      serving::LoadgenReport run =
-          serving::RunLoadgen(&server, options, at_halftime);
-      if (control.joinable()) {
-        control_stop.store(true, std::memory_order_release);
-        control.join();
-      }
-      server.Stop();
-
-      std::string versions;
-      for (const auto& [version, count] : run.completed_per_version) {
-        if (!versions.empty()) versions += " ";
-        versions +=
-            "v" + std::to_string(version) + ":" + std::to_string(count);
-      }
-      tbl->AddRow({std::to_string(workers), std::to_string(run.submitted),
-                   std::to_string(run.completed),
-                   std::to_string(run.rejected), std::to_string(run.shed),
-                   Ms(run.latency_p50), Ms(run.latency_p95),
-                   Ms(run.latency_p99), Ms(run.latency_mean),
-                   FormatDouble(run.throughput_qps, 1) + "/s",
-                   versions.empty() ? "-" : versions});
-      if (p50_by_workers != nullptr) {
-        (*p50_by_workers)[workers] = run.latency_p50;
-      }
-
-      auto stats = server.stats();
-      bool run_ok =
-          run.CountersConsistent() && run.failed == 0 &&
-          stats.submitted == stats.completed + stats.rejected + stats.shed +
-                                 stats.failed &&
-          (!(allow_hotswap && hotswap) ||
-           run.completed_per_version.size() >= 1);
-      if (!run_ok) {
-        std::cerr << "COUNTER VIOLATION at " << workers << " worker(s): "
-                  << "submitted=" << run.submitted << " completed="
-                  << run.completed << " rejected=" << run.rejected
-                  << " shed=" << run.shed << " failed=" << run.failed << "\n";
-        counters_ok = false;
-      }
-    }
-  };
-
   TablePrinter table({"workers", "submitted", "completed", "rejected", "shed",
                       "p50", "p95", "p99", "mean", "throughput", "versions"});
-  std::map<int, double> fp64_p50;
-  run_sweep(&registry, &table, &fp64_p50, /*allow_hotswap=*/true,
-            /*with_autopilot=*/true);
-  report.Table("serving load sweep (latency = submit-to-response)", table);
-
-  // --- Quantized fast-path comparison ------------------------------------
-  // Same snapshot, same traffic and seeds, int8/int16 inference: the p50
-  // delta against the fp64 sweep above is the fast path's win (recorded per
-  // worker count in the manifest), alongside the calibration gate's verdict.
-  if (qspec.enabled && pilot == nullptr) {
-    std::istringstream snap(snapshot_bytes);
-    auto qmodel = serving::ServingModel::FromSnapshot(
-        tb.schema.get(), *tb.workload, config, tb.exact_model.get(), snap,
-        batch, qspec);
-    if (!qmodel.ok()) {
-      std::cerr << "quantized model load failed: "
-                << qmodel.status().ToString() << "\n";
-      return 1;
+  bool counters_ok = true;
+  for (int workers : worker_counts) {
+    serving::ServerConfig server_config;
+    server_config.worker_threads = workers;
+    server_config.queue_capacity = static_cast<size_t>(queue_capacity);
+    server_config.default_deadline_seconds = deadline;
+    serving::AdvisorServer server(&registry, server_config);
+    if (Status st = server.Start(); !st.ok()) {
+      std::cerr << "server start failed: " << st.ToString() << "\n";
+      counters_ok = false;
+      break;
     }
-    report.Note("quant_state", (*qmodel)->quantized() ? "active" : "rejected");
-    report.Note("quant_calibration_agreement",
-                FormatDouble((*qmodel)->calibration_agreement(), 4));
-    serving::ModelRegistry quant_registry;
-    quant_registry.Publish(*qmodel);
-    TablePrinter quant_table({"workers", "submitted", "completed", "rejected",
-                              "shed", "p50", "p95", "p99", "mean",
-                              "throughput", "versions"});
-    std::map<int, double> quant_p50;
-    run_sweep(&quant_registry, &quant_table, &quant_p50,
-              /*allow_hotswap=*/false, /*with_autopilot=*/false);
-    report.Table("quantized (" + quantize_mode +
-                     ") serving load sweep (latency = submit-to-response)",
-                 quant_table);
-    for (int workers : worker_counts) {
-      report.Note("p50_fp64_w" + std::to_string(workers),
-                  Ms(fp64_p50[workers]));
-      report.Note("p50_" + quantize_mode + "_w" + std::to_string(workers),
-                  Ms(quant_p50[workers]));
+
+    serving::LoadgenOptions options;
+    options.open_loop = mode == "open";
+    options.clients = clients;
+    options.qps = qps;
+    options.duration_seconds = duration;
+    options.seed = HashCombine(common.seed, static_cast<uint64_t>(workers));
+    options.num_queries = num_queries;
+
+    std::function<void()> at_halftime;
+    if (hotswap) {
+      at_halftime = [&] {
+        std::istringstream snap(snapshot_bytes);
+        auto model = serving::ServingModel::FromSnapshot(
+            tb.schema.get(), *tb.workload, config, tb.exact_model.get(),
+            snap);
+        if (!model.ok()) {
+          std::cerr << "hot-swap load failed: " << model.status().ToString()
+                    << "\n";
+          return;
+        }
+        uint64_t version = registry.Publish(*model);
+        std::cerr << "  hot-swapped to model v" << version << "\n";
+      };
+    }
+
+    std::cerr << "loadgen: " << workers << " worker(s), " << mode
+              << "-loop, " << duration << "s...\n";
+
+    // The autopilot control plane ticks on its own thread while the
+    // loadgen saturates the server — the swaps land mid-traffic, which is
+    // the point.
+    std::atomic<bool> control_stop{false};
+    std::thread control;
+    if (pilot != nullptr) {
+      control = std::thread([&] {
+        while (!control_stop.load(std::memory_order_acquire)) {
+          auto outcome = driver->Step(&std::cerr);
+          if (!outcome.ok()) {
+            std::cerr << "autopilot tick failed: "
+                      << outcome.status().ToString() << "\n";
+            break;
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        }
+      });
+    }
+    serving::LoadgenReport run =
+        serving::RunLoadgen(&server, options, at_halftime);
+    if (control.joinable()) {
+      control_stop.store(true, std::memory_order_release);
+      control.join();
+    }
+    server.Stop();
+
+    std::string versions;
+    for (const auto& [version, count] : run.completed_per_version) {
+      if (!versions.empty()) versions += " ";
+      versions += "v" + std::to_string(version) + ":" + std::to_string(count);
+    }
+    table.AddRow({std::to_string(workers), std::to_string(run.submitted),
+                  std::to_string(run.completed), std::to_string(run.rejected),
+                  std::to_string(run.shed), Ms(run.latency_p50),
+                  Ms(run.latency_p95), Ms(run.latency_p99),
+                  Ms(run.latency_mean),
+                  FormatDouble(run.throughput_qps, 1) + "/s",
+                  versions.empty() ? "-" : versions});
+
+    auto stats = server.stats();
+    bool run_ok =
+        run.CountersConsistent() && run.failed == 0 &&
+        stats.submitted ==
+            stats.completed + stats.rejected + stats.shed + stats.failed &&
+        (!hotswap || run.completed_per_version.size() >= 1);
+    if (!run_ok) {
+      std::cerr << "COUNTER VIOLATION at " << workers << " worker(s): "
+                << "submitted=" << run.submitted << " completed="
+                << run.completed << " rejected=" << run.rejected
+                << " shed=" << run.shed << " failed=" << run.failed << "\n";
+      counters_ok = false;
     }
   }
+  report.Table("serving load sweep (latency = submit-to-response)", table);
+
   if (pilot != nullptr) {
     const auto& c = pilot->counters();
     std::cout << "autopilot (" << autopilot::ScenarioName(scenario_kind)
