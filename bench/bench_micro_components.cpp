@@ -1,6 +1,7 @@
 // Component microbenchmarks (google-benchmark): throughput guardrails for
-// the library's hot paths — cost-model planning, featurization, NN forward/
-// train, engine execution, data generation and sealing — plus three kernels
+// the library's hot paths — cost-model planning, the DP designer,
+// featurization, NN forward/train, engine execution, data generation and
+// sealing — plus three kernels
 // run after the google benchmarks: a workload-cost kernel comparing full
 // recompute against incremental delta costing (BENCH_micro_components.json),
 // a storage kernel measuring encode/decode throughput and per-column
@@ -18,6 +19,7 @@
 
 #include "advisor/serialization.h"
 #include "advisor/workload_monitor.h"
+#include "baselines/dp_baseline.h"
 #include "bench_common.h"
 #include "costmodel/cost_model.h"
 #include "costmodel/noisy_model.h"
@@ -131,6 +133,25 @@ void BM_CostModelPlanNoisyTpcchQuery(benchmark::State& s) {
   }
 }
 BENCHMARK(BM_CostModelPlanNoisyTpcchQuery);
+
+void BM_DpDesignTpcch(benchmark::State& s) {
+  // perfbench design_tpcch's DP designer: exact model, uniform mix, ε = 0.1
+  // and the beam settings it uses above 8 tables. Each iteration starts
+  // from an empty query-cost memo.
+  auto& f = Tpcch();
+  search::DpDesignerConfig config;
+  config.epsilon = 0.1;
+  config.max_frontier = 128;
+  config.max_bound_enum = 512;
+  const std::vector<double> uniform(static_cast<size_t>(f.wl.num_queries()),
+                                    1.0);
+  for (auto _ : s) {
+    search::DpResult r =
+        baselines::DpDesign(f.schema, f.wl, f.edges, f.model, uniform, config);
+    benchmark::DoNotOptimize(r.best_cost);
+  }
+}
+BENCHMARK(BM_DpDesignTpcch)->Unit(benchmark::kMillisecond);
 
 void BM_FeaturizerEncodeState(benchmark::State& s) {
   auto& f = Ssb();

@@ -1,6 +1,7 @@
 // Tests for the parallel evaluation engine: ThreadPool scheduling,
 // EvalContext RNG forking, end-to-end determinism of seeded training across
-// thread counts, the DQN learner step on a busy or shared pool, the sharded
+// thread counts, TPC-CH pricing from pool threads against the serial bits,
+// the DQN learner step on a busy or shared pool, the sharded
 // cost cache, and the shared CLI flag parser.
 
 #include <gtest/gtest.h>
@@ -17,12 +18,15 @@
 
 #include "advisor/advisor.h"
 #include "costmodel/cost_cache.h"
+#include "costmodel/noisy_model.h"
+#include "partition/actions.h"
 #include "rl/dqn.h"
 #include "rl/offline_env.h"
 #include "schema/catalogs.h"
 #include "util/cli.h"
 #include "util/eval_context.h"
 #include "util/hash.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 #include "workload/benchmarks.h"
 
@@ -206,6 +210,60 @@ TEST(ParallelDeterminismTest, OfflineEnvParallelCostMatchesSerial) {
   double cached_cost = parallel_env.WorkloadCost(state, freqs, &ctx);
   EXPECT_EQ(cached_cost, serial_cost);
   EXPECT_GT(parallel_env.cache_hits(), 0u);
+}
+
+// Every TPC-CH query priced from 4 pool threads through
+// OfflineEnv::WorkloadCost, under seeded random designs, for the exact model
+// and a NoisyOptimizerModel with the independence assumption on. Each
+// worker plans queries of different sizes one after another on its own
+// planner scratch; every per-query cost and every total must carry the
+// serial bits.
+TEST(ParallelDeterminismTest, PooledTpcchPricingMatchesSerialBits) {
+  schema::Schema schema = schema::MakeTpcchSchema();
+  workload::Workload workload = workload::MakeTpcchWorkload(schema);
+  auto edges = partition::EdgeSet::Extract(schema, workload);
+  partition::ActionSpace actions(&schema, &edges);
+  const auto hw = costmodel::HardwareProfile::DiskBased10G();
+  costmodel::CostModel exact(&schema, hw);
+  costmodel::NoisyOptimizerModel noisy(&schema, hw, /*depth_sigma=*/0.5,
+                                       /*seed=*/4242,
+                                       /*use_independence_assumption=*/true);
+  std::vector<double> freqs(static_cast<size_t>(workload.num_queries()), 1.0);
+  for (const costmodel::CostModel* model :
+       {static_cast<const costmodel::CostModel*>(&exact),
+        static_cast<const costmodel::CostModel*>(&noisy)}) {
+    rl::OfflineEnv pooled_env(model, &workload);
+    EvalContext ctx(/*threads=*/4, /*seed=*/1);
+    Rng rng(77);
+    auto state = partition::PartitioningState::Initial(&schema, &edges);
+    for (int design = 0; design < 12; ++design) {
+      for (int step = 0; step < 2; ++step) {
+        auto legal = actions.LegalActions(state);
+        ASSERT_TRUE(actions
+                        .Apply(legal[static_cast<size_t>(rng.UniformInt(
+                                   0, static_cast<int64_t>(legal.size()) - 1))],
+                               &state)
+                        .ok());
+      }
+      double serial_total = 0.0;
+      std::vector<double> serial(freqs.size());
+      for (int j = 0; j < workload.num_queries(); ++j) {
+        serial[static_cast<size_t>(j)] =
+            model->QueryCost(workload.query(j), state);
+        serial_total += serial[static_cast<size_t>(j)];
+      }
+      const double pooled_total = pooled_env.WorkloadCost(state, freqs, &ctx);
+      EXPECT_EQ(std::bit_cast<uint64_t>(pooled_total),
+                std::bit_cast<uint64_t>(serial_total))
+          << "design " << design;
+      for (int j = 0; j < workload.num_queries(); ++j) {
+        // A cache hit: the cost a pool thread computed above.
+        EXPECT_EQ(std::bit_cast<uint64_t>(pooled_env.QueryCost(j, state, 1.0)),
+                  std::bit_cast<uint64_t>(serial[static_cast<size_t>(j)]))
+            << "design " << design << " query " << j;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -18,9 +18,11 @@
 # The tsan preset builds with -DLPA_SANITIZE=thread into build-tsan and, by
 # default, runs only the tests that exercise the parallel evaluation engine
 # (parallel_eval_test, with the learner step on a blocked and on a shared
-# pool), the learner's regions (learner_golden_test at 1/2/4/8 threads), the
-# inference rollouts (extra rollouts on the pool, and serial on the
-# non-thread-safe online environment), the execution engine
+# pool, and every TPC-CH query priced from 4 pool threads against the serial
+# bits, which exercises the planner's per-thread scratch), the learner's
+# regions (learner_golden_test at 1/2/4/8 threads), the inference rollouts
+# (extra rollouts on the pool, and serial on the non-thread-safe online
+# environment), the execution engine
 # (engine_exec_test: pooled scan/shuffle/join kernels at 2 and 8 threads,
 # concurrent plan-cache lookups through a pooled ExecuteWorkload, and the
 # planner's depth-noise memo warmed from 8 threads) and the serving
@@ -88,7 +90,9 @@
 # The search preset builds the design-search subsystem (src/search/) under
 # ASan+UBSan and runs search_test (DP (1+ε) certificate vs exhaustive
 # enumeration, admissible floors, pruned-Suggest bit-identity at 1/2/8
-# threads), parallel_eval_test and inference_test (golden results and
+# threads), dp_golden_test (the DP designer's design, cost, certificate and
+# node counts on TPC-CH, SSB and TPC-DS, exact and noisy models, pinned bit
+# for bit), parallel_eval_test and inference_test (golden results and
 # counters of every Suggest path, pruned ones included), then drives the
 # bench_exp1_offline verification sections (--baseline dp): the micro
 # exhaustive gate and the pruned-vs-unpruned Suggest counter checks, exiting
@@ -99,7 +103,8 @@
 # archive contains no fused multiply-add (vfmadd/vfmsub/vfnmadd/vfnmsub: one
 # would round differently from the separate multiply and add that every
 # trained weight depends on), and runs bench_micro_components with the
-# cost-model planner benchmarks (BM_CostModelPlan*), the learner benchmarks
+# cost-model planner benchmarks (BM_CostModelPlan*), the DP designer on
+# perfbench design_tpcch's settings (BM_DpDesignTpcch), the learner benchmarks
 # (BM_DqnTrainStep* on SSB and TPC-CH, serial and on a 4-thread pool,
 # BM_TrainOfflineSsb* for perfbench serve_ssb's design phase, serial and on
 # 4 threads, and BM_MlpForward128x64), the storage benchmarks (BM_GenerateSsbDatabase,
@@ -134,7 +139,7 @@ if [[ "${PRESET}" == "perf" ]]; then
   echo "== planner + learner + storage + online-engine benchmarks + perf kernels: workload-cost (full vs incremental) + storage + engine (pool-parallel) =="
   LPA_METRICS_DIR="${LPA_METRICS_DIR:-${BUILD_DIR}}" \
     "${BUILD_DIR}/bench/bench_micro_components" \
-      --benchmark_filter='CostModelPlan|DqnTrainStep|TrainOffline|MlpForward|Seal|RepartitionFactTable|GenerateSsb|OnlineEnv'
+      --benchmark_filter='CostModelPlan|DpDesign|DqnTrainStep|TrainOffline|MlpForward|Seal|RepartitionFactTable|GenerateSsb|OnlineEnv'
   echo "== OK: matching digests above = bit-identical results; see BENCH_engine.json =="
   exit 0
 fi
@@ -253,14 +258,14 @@ if [[ "${PRESET}" == "search" ]]; then
   echo "== configure (${BUILD_DIR}, -fsanitize=address,undefined) =="
   cmake -B "${BUILD_DIR}" -S . -DLPA_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
-  echo "== build search_test + parallel_eval_test + inference_test + bench_exp1_offline =="
+  echo "== build search_test + dp_golden_test + parallel_eval_test + inference_test + bench_exp1_offline =="
   cmake --build "${BUILD_DIR}" -j "${JOBS}" --target search_test \
-    parallel_eval_test inference_test bench_exp1_offline
-  echo "== search + pruning + inference tests (ASan+UBSan) =="
+    dp_golden_test parallel_eval_test inference_test bench_exp1_offline
+  echo "== search + DP golden + pruning + inference tests (ASan+UBSan) =="
   ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=0}" \
   UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \
     ctest --test-dir "${BUILD_DIR}" --output-on-failure \
-      -R 'search_test|parallel_eval_test|inference_test'
+      -R 'search_test|dp_golden_test|parallel_eval_test|inference_test'
   echo "== bench smoke: DP (1+eps) certificate + pruned-Suggest bit-identity =="
   ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=0}" \
   UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \
