@@ -314,5 +314,26 @@ TEST(FeaturizerSlots, ReservedQuerySlotsStayZero) {
   }
 }
 
+TEST(DesignFingerprintTest, TracksDesignChangesAndScopes) {
+  auto schema = schema::MakeSsbSchema();
+  auto wl = workload::MakeSsbWorkload(schema);
+  auto edges = EdgeSet::Extract(schema, wl);
+  auto a = PartitioningState::Initial(&schema, &edges);
+  auto b = a;
+  schema::TableId cust = schema.TableIndex("customer");
+  schema::TableId part = schema.TableIndex("part");
+  ASSERT_TRUE(b.Replicate(part).ok());
+  // Full fingerprint differs; the fingerprint restricted to untouched tables
+  // does not (the cache-key scoping property).
+  EXPECT_NE(a.DesignFingerprint(), b.DesignFingerprint());
+  EXPECT_NE(a.DesignFingerprint({part}), b.DesignFingerprint({part}));
+  EXPECT_EQ(a.DesignFingerprint({cust}), b.DesignFingerprint({cust}));
+  EXPECT_NE(a.TableDesignHash(part), b.TableDesignHash(part));
+  EXPECT_EQ(a.TableDesignHash(cust), b.TableDesignHash(cust));
+  // Round-tripping back to the same design restores the fingerprint.
+  auto c = PartitioningState::FromDesign(&schema, &edges, a.table_partitions());
+  EXPECT_EQ(c.DesignFingerprint(), a.DesignFingerprint());
+}
+
 }  // namespace
 }  // namespace lpa::partition
