@@ -40,8 +40,8 @@ struct TrainSpec {
   /// kOffline only: > 1 routes the run through the actor/learner pipeline
   /// with this many episode-actor slots (rl::ActorLearnerConfig). The slot
   /// count — not the thread count — fixes deterministic-mode digests.
-  /// Other phases reject actors > 1: their environments are inherently
-  /// serial (measured runtimes) or already bound to one tracker.
+  /// Other phases reject actors > 1: online runtimes are measured one query
+  /// at a time, and incremental runs continue the serial training loop.
   int actors = 1;
   /// With actors > 1: trade the deterministic round barrier for
   /// work-stealing throughput (ActorLearnerConfig::Mode::kFast).

@@ -64,15 +64,6 @@ rl::FrequencySampler MakeMixSampler(std::vector<double> mix, int m) {
   };
 }
 
-costmodel::WorkloadCostTracker MakeTrackerWith(
-    const costmodel::CostModel* model, const workload::Workload* workload) {
-  return costmodel::WorkloadCostTracker(
-      workload, [model, workload](int query_index,
-                                  const partition::PartitioningState& state) {
-        return model->QueryCost(workload->query(query_index), state);
-      });
-}
-
 }  // namespace
 
 const char* TickActionName(TickOutcome::Action action) {
@@ -124,12 +115,10 @@ void RetrainController::UpdateCostModel(const costmodel::CostModel* model) {
   model_ = model;
   (void)incumbent_.BindCostModel(model_);
   if (in_probation()) {
-    // Re-price the open probation window under the recalibrated model.
-    const workload::Workload* wl = &incumbent_.advisor().workload();
-    probation_deployed_tracker_ = std::make_unique<costmodel::WorkloadCostTracker>(
-        MakeTrackerWith(model_, wl));
-    probation_rollback_tracker_ = std::make_unique<costmodel::WorkloadCostTracker>(
-        MakeTrackerWith(model_, wl));
+    // Price the rest of the open probation window under the recalibrated
+    // model.
+    probation_env_ = std::make_unique<rl::OfflineEnv>(
+        model_, &incumbent_.advisor().workload());
   }
 }
 
@@ -145,10 +134,7 @@ Result<std::vector<int>> RetrainController::AbsorbQueries(
   if (!indices.ok()) return indices.status();
   for (auto& q : queries) added_queries_.push_back(std::move(q));
   for (int idx : *indices) pending_focus_.push_back(idx);
-  if (probation_deployed_tracker_ != nullptr) {
-    probation_deployed_tracker_->SyncWorkload();
-    probation_rollback_tracker_->SyncWorkload();
-  }
+  if (probation_env_ != nullptr) probation_env_->SyncWorkload();
   return indices;
 }
 
@@ -292,9 +278,10 @@ RetrainController::RetrainResult RetrainController::RunRetrain(
     }
   }
 
-  // Holdout validation: cost both designs over the recent-mix window with
-  // one tracker per design — the same design re-priced under many mixes is
-  // nearly free (only weights change, not per-query costs).
+  // Holdout validation: cost both designs over the recent-mix window through
+  // one memo — the same design re-priced under many mixes is nearly free
+  // (only weights change, not per-query costs). The environment is the
+  // job's own, so the control thread never shares it.
   std::vector<std::vector<double>> mixes;
   size_t start = job.holdout.size() > static_cast<size_t>(config_.holdout_mixes)
                      ? job.holdout.size() -
@@ -304,13 +291,9 @@ RetrainController::RetrainResult RetrainController::RunRetrain(
     mixes.push_back(PadTo(job.holdout[i], m));
   }
   if (mixes.empty()) mixes.push_back(PadTo(job.mix, m));
-  const workload::Workload* wl = &job.candidate.advisor().workload();
-  auto candidate_tracker = MakeTrackerWith(job.model, wl);
-  auto incumbent_tracker = MakeTrackerWith(job.model, wl);
-  result.candidate_cost =
-      MeanDesignCost(*result.design, mixes, &candidate_tracker);
-  result.incumbent_cost =
-      MeanDesignCost(job.deployed, mixes, &incumbent_tracker);
+  rl::OfflineEnv env(job.model, &job.candidate.advisor().workload());
+  result.candidate_cost = MeanDesignCost(*result.design, mixes, &env);
+  result.incumbent_cost = MeanDesignCost(job.deployed, mixes, &env);
   result.pass = !config_.validation_gate ||
                 result.candidate_cost <=
                     result.incumbent_cost * (1.0 - config_.swap_margin);
@@ -320,11 +303,10 @@ RetrainController::RetrainResult RetrainController::RunRetrain(
 
 double RetrainController::MeanDesignCost(
     const partition::PartitioningState& design,
-    const std::vector<std::vector<double>>& mixes,
-    costmodel::WorkloadCostTracker* tracker) const {
+    const std::vector<std::vector<double>>& mixes, rl::OfflineEnv* env) {
   if (mixes.empty()) return 0.0;
   double sum = 0.0;
-  for (const auto& mix : mixes) sum += tracker->Evaluate(design, mix);
+  for (const auto& mix : mixes) sum += env->WorkloadCost(design, mix);
   return sum / static_cast<double>(mixes.size());
 }
 
@@ -377,11 +359,8 @@ TickOutcome RetrainController::Apply(RetrainResult result) {
   probation_left_ = std::max(1, config_.probation_ticks);
   probation_deployed_sum_ = 0.0;
   probation_rollback_sum_ = 0.0;
-  const workload::Workload* wl = &incumbent_.advisor().workload();
-  probation_deployed_tracker_ = std::make_unique<costmodel::WorkloadCostTracker>(
-      MakeTrackerWith(model_, wl));
-  probation_rollback_tracker_ = std::make_unique<costmodel::WorkloadCostTracker>(
-      MakeTrackerWith(model_, wl));
+  probation_env_ = std::make_unique<rl::OfflineEnv>(
+      model_, &incumbent_.advisor().workload());
 
   out.action = TickOutcome::Action::kSwapped;
   out.detail = "candidate " + std::to_string(result.candidate_cost) +
@@ -399,9 +378,9 @@ std::optional<TickOutcome> RetrainController::StepProbation(
   const int m = incumbent_.advisor().workload().num_queries();
   std::vector<double> padded = PadTo(mix, m);
   probation_deployed_sum_ +=
-      probation_deployed_tracker_->Evaluate(*deployed_design_, padded);
+      probation_env_->WorkloadCost(*deployed_design_, padded);
   probation_rollback_sum_ +=
-      probation_rollback_tracker_->Evaluate(rollback_->design, padded);
+      probation_env_->WorkloadCost(rollback_->design, padded);
   if (--probation_left_ > 0) return std::nullopt;
 
   // Window closed: compare the deployment against the rollback design under
@@ -438,8 +417,7 @@ std::optional<TickOutcome> RetrainController::StepProbation(
     out.detail = "probation passed";
   }
   rollback_.reset();
-  probation_deployed_tracker_.reset();
-  probation_rollback_tracker_.reset();
+  probation_env_.reset();
   return out;
 }
 

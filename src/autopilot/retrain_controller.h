@@ -10,7 +10,7 @@
 
 #include "advisor/advisor_handle.h"
 #include "autopilot/drift_monitor.h"
-#include "costmodel/workload_cost_tracker.h"
+#include "rl/offline_env.h"
 #include "serving/model_registry.h"
 #include "util/eval_context.h"
 
@@ -77,7 +77,7 @@ const char* TickActionName(TickOutcome::Action action);
 /// \brief Owns the incumbent advisor and runs the adaptation pipeline: on a
 /// drift verdict it snapshots the incumbent, incrementally trains a replica
 /// candidate on a background `EvalContext`, validates candidate vs incumbent
-/// designs over the holdout mixes with `WorkloadCostTracker`s, hot-swaps
+/// designs over the holdout mixes through an `rl::OfflineEnv`, hot-swaps
 /// through every registered `serving::ModelRegistry` target, and watches a
 /// probation window that rolls the previous incumbent back if the fresh
 /// deployment regresses.
@@ -188,11 +188,9 @@ class RetrainController {
   /// Train + validate; runs inline or on worker_.
   RetrainResult RunRetrain(RetrainJob job);
   TickOutcome Apply(RetrainResult result);
-  double MeanDesignCost(const partition::PartitioningState& design,
-                        const std::vector<std::vector<double>>& mixes,
-                        costmodel::WorkloadCostTracker* tracker) const;
-  costmodel::WorkloadCostTracker MakeTracker(
-      const workload::Workload* workload) const;
+  static double MeanDesignCost(const partition::PartitioningState& design,
+                               const std::vector<std::vector<double>>& mixes,
+                               rl::OfflineEnv* env);
   void JoinWorker();
 
   const schema::Schema* schema_;
@@ -227,8 +225,9 @@ class RetrainController {
   int probation_left_ = 0;
   double probation_deployed_sum_ = 0.0;
   double probation_rollback_sum_ = 0.0;
-  std::unique_ptr<costmodel::WorkloadCostTracker> probation_deployed_tracker_;
-  std::unique_ptr<costmodel::WorkloadCostTracker> probation_rollback_tracker_;
+  /// Prices the deployed and the rollback design while probation is open:
+  /// the current model over the incumbent's workload.
+  std::unique_ptr<rl::OfflineEnv> probation_env_;
 
   /// Background training context (its pool is what "background EvalContext"
   /// means in sync mode; in async mode the worker thread drives it).

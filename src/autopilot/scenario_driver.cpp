@@ -4,8 +4,6 @@
 #include <ostream>
 #include <utility>
 
-#include "costmodel/workload_cost_tracker.h"
-
 namespace lpa::autopilot {
 
 double ObservedMixCost(const costmodel::CostModel* model,
@@ -18,12 +16,13 @@ double ObservedMixCost(const costmodel::CostModel* model,
     for (double& f : mix) f = std::max(0.0, f) / sum;
   }
   mix.resize(static_cast<size_t>(workload->num_queries()), 0.0);
-  costmodel::WorkloadCostTracker tracker(
-      workload, [model, workload](int q,
-                                  const partition::PartitioningState& state) {
-        return model->QueryCost(workload->query(q), state);
-      });
-  return tracker.Evaluate(design, mix);
+  double total = 0.0;
+  for (int j = 0; j < workload->num_queries(); ++j) {
+    double f = mix[static_cast<size_t>(j)];
+    if (f <= 0.0) continue;
+    total += f * model->QueryCost(workload->query(j), design);
+  }
+  return total;
 }
 
 costmodel::HardwareProfile ContendedProfile(

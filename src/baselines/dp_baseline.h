@@ -15,7 +15,7 @@ namespace lpa::baselines {
 /// certificate: when `DpResult::certified`, the returned design's cost is
 /// within (1+ε) of the optimum under the estimator — exactly optimal at
 /// ε = 0. Per-query estimates are memoized in a fingerprint-keyed CostCache,
-/// the same two-layer idiom the hill climber uses. The designer's bounds
+/// as in the hill climber and the offline environment. The designer's bounds
 /// take `CostModel::QueryCostFloor` to skip combinations that cannot lower
 /// them; the result is bit-identical to pricing every combination.
 ///

@@ -2,7 +2,6 @@
 
 #include "baselines/heuristics.h"
 #include "costmodel/cost_cache.h"
-#include "costmodel/workload_cost_tracker.h"
 #include "util/hash.h"
 #include "util/logging.h"
 
@@ -13,31 +12,17 @@ namespace {
 using partition::PartitioningState;
 using partition::TablePartition;
 
-/// Workload-estimate evaluator over per-table designs.
-///
-/// Two memo layers: the hill climb mutates one table per probe, so the
-/// WorkloadCostTracker re-prices only the queries touching that table, and
-/// the fingerprint-keyed CostCache underneath makes revisited
-/// (query, design) pairs free across non-adjacent probes (restored
-/// originals, restarts). The reduction stays in query order, so totals match
-/// the plain loop bit for bit.
+/// Workload-estimate evaluator over per-table designs: a query-order sum over
+/// a fingerprint-keyed memo of per-query estimates. The hill climb changes one
+/// table per probe, so most (query, design) pairs it prices are memo hits,
+/// and revisited designs (restored originals, restarts) are free.
 class Evaluator {
  public:
   Evaluator(const schema::Schema& schema, const workload::Workload& workload,
             const partition::EdgeSet& edges,
             const costmodel::CostModel& estimator)
       : schema_(schema), workload_(workload), edges_(&edges),
-        estimator_(estimator),
-        tracker_(&workload,
-                 [this](int j, const PartitioningState& s) {
-                   uint64_t key = HashCombine(
-                       Hash64(static_cast<uint64_t>(j)),
-                       s.DesignFingerprint(
-                           query_tables_[static_cast<size_t>(j)]));
-                   return cache_.GetOrCompute(key, [&] {
-                     return estimator_.QueryCost(workload_.query(j), s);
-                   });
-                 }) {
+        estimator_(estimator) {
     for (const auto& q : workload.queries()) {
       query_tables_.push_back(q.tables());
     }
@@ -45,7 +30,19 @@ class Evaluator {
 
   double Cost(const std::vector<TablePartition>& design) {
     auto state = PartitioningState::FromDesign(&schema_, edges_, design);
-    return tracker_.Evaluate(state, workload_.frequencies());
+    const std::vector<double>& freqs = workload_.frequencies();
+    double total = 0.0;
+    for (size_t j = 0; j < query_tables_.size() && j < freqs.size(); ++j) {
+      double f = freqs[j];
+      if (f <= 0.0) continue;
+      uint64_t key = HashCombine(Hash64(j),
+                                 state.DesignFingerprint(query_tables_[j]));
+      total += f * cache_.GetOrCompute(key, [&] {
+        return estimator_.QueryCost(workload_.query(static_cast<int>(j)),
+                                    state);
+      });
+    }
+    return total;
   }
 
  private:
@@ -55,7 +52,6 @@ class Evaluator {
   const costmodel::CostModel& estimator_;
   std::vector<std::vector<schema::TableId>> query_tables_;
   costmodel::CostCache cache_;
-  costmodel::WorkloadCostTracker tracker_;
 };
 
 /// All per-table design options.

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -11,6 +12,14 @@
 #include "workload/workload.h"
 
 namespace lpa::costmodel {
+
+/// \brief Prices one query under a state. Must be a pure,
+/// frequency-independent function of the query index and the designs of the
+/// query's tables: the memo keys, the search bounds and the pruner's per-query
+/// costs all rely on it.
+using QueryCostFn =
+    std::function<double(int query_index,
+                          const partition::PartitioningState& state)>;
 
 /// \brief Per-join physical strategy the model (and the engine's planner)
 /// can choose from (Sec 4.1).

@@ -8,9 +8,10 @@
 //  * deterministic (default): synchronous rounds. Each round snapshots the
 //    policy once, runs up to N episodes (slot s takes episode e0+s — a fixed
 //    mapping), hits a barrier, merges shards in slot order, then trains.
-//    With per-slot forked RNG streams and per-slot environment clones the
-//    whole run — episode rewards and final weights — is bit-identical for a
-//    fixed slot count at every thread count.
+//    With per-slot forked RNG streams and a pure query cost (the shared memo
+//    returns the same bits to every slot) the whole run — episode rewards
+//    and final weights — is bit-identical for a fixed slot count at every
+//    thread count.
 //  * fast: work-stealing. Actors claim episode indices from a shared atomic
 //    counter and stream transitions continuously; the learner trains
 //    concurrently against policy snapshots it republishes every
@@ -27,7 +28,6 @@
 #include <thread>
 #include <vector>
 
-#include "costmodel/workload_cost_tracker.h"
 #include "rl/replay.h"
 #include "rl/trainer.h"
 #include "rl/trainer_metrics.h"
@@ -69,35 +69,13 @@ TrainingResult EpisodeTrainer::TrainActorLearner(
       env->SupportsParallelEval() && ctx->pool() != nullptr;
 
   TrainingResult result;
-  EvalContext* fanout_ctx = env->SupportsParallelEval() ? ctx : nullptr;
-  {
-    std::vector<double> uniform(
-        static_cast<size_t>(env->workload().num_queries()), 1.0);
-    result.normalization = env->WorkloadCost(InitialState(), uniform,
-                                             fanout_ctx);
-    LPA_CHECK(result.normalization > 0.0);
-  }
+  result.normalization = Normalization(env, ctx);
 
   // One forked RNG per actor slot plus one for the learner's minibatch
   // sampling — all derived from a single master draw, so the streams depend
   // on neither thread count nor mode.
   std::vector<Rng> rngs = ctx->ForkRngs(static_cast<size_t>(num_actors) + 1);
   Rng* learner_rng = &rngs.back();
-
-  // Per-slot environment clones: each actor delta-costs its own episode
-  // trajectory through a private WorkloadCostTracker; the underlying
-  // QueryCost calls share the environment's concurrent cost cache.
-  std::vector<std::unique_ptr<costmodel::WorkloadCostTracker>> clones(
-      static_cast<size_t>(num_actors));
-  if (env->SupportsIncrementalCost()) {
-    for (auto& clone : clones) {
-      clone = std::make_unique<costmodel::WorkloadCostTracker>(
-          &env->workload(),
-          [env](int j, const partition::PartitioningState& s) {
-            return env->QueryCost(j, s, 1.0);
-          });
-    }
-  }
 
   ReplayBuffer replay(static_cast<size_t>(agent->config().replay_capacity));
   ShardedReplayBuffer shards(num_actors, shard_capacity);
@@ -117,12 +95,11 @@ TrainingResult EpisodeTrainer::TrainActorLearner(
   std::vector<double> busy_seconds(static_cast<size_t>(num_actors), 0.0);
   size_t learner_steps = 0;
 
-  // One actor episode: act against the frozen `policy`, price states through
-  // the slot's environment clone, stream transitions into the slot's shard.
+  // One actor episode: act against the frozen `policy`, price states without
+  // the pool (slots may already run on it; the offline environment's memo is
+  // shared and thread-safe), stream transitions into the slot's shard.
   auto run_episode = [&](int slot, int episode, const DqnPolicy& policy) {
     Rng* rng = &rngs[static_cast<size_t>(slot)];
-    costmodel::WorkloadCostTracker* tracker =
-        clones[static_cast<size_t>(slot)].get();
     const double epsilon = epsilon_for(episode);
     std::vector<double> freqs = sampler(rng);
     partition::PartitioningState state = InitialState();
@@ -132,17 +109,7 @@ TrainingResult EpisodeTrainer::TrainActorLearner(
     for (int t = 0; t < tmax; ++t) {
       int action = policy.SelectAction(enc, legal, epsilon, rng);
       LPA_CHECK(actions_->Apply(action, &state).ok());
-      double cost;
-      if (tracker == nullptr) {
-        cost = env->WorkloadCost(state, freqs, nullptr);
-      } else if (t == 0) {
-        // Episode start: the clone is synced to this slot's previous
-        // episode's final state; Evaluate auto-diffs the reset jump.
-        cost = tracker->Evaluate(state, freqs, nullptr);
-      } else {
-        cost = tracker->EvaluateDelta(
-            state, actions_->AffectedTables(action), freqs, nullptr);
-      }
+      double cost = env->WorkloadCost(state, freqs, nullptr);
       double reward = 1.0 - cost / result.normalization;
       episode_best = std::max(episode_best, reward);
       std::vector<double> next_enc = featurizer_->EncodeState(state, freqs);

@@ -42,10 +42,11 @@ class PartitioningEnv {
   virtual bool SupportsParallelEval() const { return false; }
 
   /// \brief Whether QueryCost is a pure, frequency-independent function of
-  /// (query, designs of the query's tables), so workload costs may be
-  /// maintained incrementally by a `costmodel::WorkloadCostTracker` instead
-  /// of recomputed per step. The online environment must return false: its
-  /// costs carry per-call noise, timeout effects, and runtime accounting.
+  /// (query, designs of the query's tables) — the `costmodel::QueryCostFn`
+  /// contract. `search::ActionPruner`'s bounds rely on it: inference prunes
+  /// rollouts only on environments that return true. The online environment
+  /// must return false: its costs carry per-call noise, timeout effects, and
+  /// runtime accounting.
   virtual bool SupportsIncrementalCost() const { return false; }
 };
 

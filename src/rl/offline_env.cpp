@@ -7,8 +7,8 @@ namespace lpa::rl {
 
 namespace {
 
-/// Cost-model evaluation volume: one tick per QueryCost call (cache hit or
-/// not). Hit/miss/eviction breakdown lives in the CostCache's own
+/// Cost-model evaluation volume: one tick per QueryCost call (memo hit or
+/// not). The hit/miss/refusal breakdown lives in the CostCache's own
 /// `costmodel.cost_cache_*.count` counters — this is deliberately the only
 /// counter the env adds on top.
 struct OfflineEnvMetrics {

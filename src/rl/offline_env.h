@@ -9,19 +9,20 @@ namespace lpa::rl {
 /// \brief Offline-training environment (Sec 4.1): rewards come from the
 /// network-centric cost model `cm(P, q)`; no database is touched.
 ///
-/// Query costs are memoized in a sharded LRU CostCache keyed by the 64-bit
+/// Query costs are memoized in a `costmodel::CostCache` keyed by the 64-bit
 /// fingerprint of (query index, physical design restricted to the query's
 /// tables) — the same key structure as the online Query Runtime Cache,
 /// exploiting that a query's cost only depends on the states of the tables
 /// it references. Fingerprints come from the state's incrementally
 /// maintained per-table design hashes, so a probe costs O(|query tables|)
-/// hash combines and no string construction.
+/// hash combines and no string construction. A training step prices the
+/// whole workload through `WorkloadCost`: one memo probe per weighted query,
+/// and a plan only for a (query, design) pair not seen before.
 ///
-/// The cost model is stateless, so this environment supports both parallel
+/// The cost model is stateless, so this environment supports parallel
 /// evaluation (WorkloadCost fans per-query costs out across the context's
-/// thread pool) and incremental costing (trainers wrap it in a
-/// `costmodel::WorkloadCostTracker` and re-price only queries touching
-/// tables an action mutated).
+/// thread pool) and the pure query-cost contract (`SupportsIncrementalCost`)
+/// that inference-time pruning needs.
 class OfflineEnv : public PartitioningEnv {
  public:
   OfflineEnv(const costmodel::CostModel* model,
@@ -42,7 +43,7 @@ class OfflineEnv : public PartitioningEnv {
 
   size_t cache_size() const { return cache_.size(); }
   size_t cache_hits() const { return cache_.stats().hits; }
-  /// \brief Cost-model cache probes (hits + misses) — every QueryCost call
+  /// \brief Cost-model memo probes (hits + misses) — every QueryCost call
   /// probes exactly once.
   size_t evaluations() const {
     auto s = cache_.stats();

@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "costmodel/cost_model.h"
-#include "costmodel/workload_cost_tracker.h"
 #include "rl/trainer_metrics.h"
 #include "search/action_pruner.h"
 #include "telemetry/registry.h"
@@ -44,6 +43,20 @@ TrainerMetrics& TrainerMetrics::Get() {
 
 using internal::TrainerMetrics;
 
+namespace {
+
+/// The context one state's pricing gets. On an environment that prices in
+/// parallel (the offline cost model) a state costs one memo probe per
+/// weighted query, less than handing the probes to pool workers costs (with
+/// per-step fan-out, SSB offline training ran ~20% slower on 4 threads than
+/// on 1 on a 4-vCPU Xeon), so it is priced serially. Other environments get
+/// `ctx`: the online environment hands its pool to the engine kernels.
+EvalContext* StepPricingContext(const PartitioningEnv* env, EvalContext* ctx) {
+  return env->SupportsParallelEval() ? nullptr : ctx;
+}
+
+}  // namespace
+
 EpisodeTrainer::EpisodeTrainer(const schema::Schema* schema,
                                const partition::EdgeSet* edges,
                                const partition::ActionSpace* actions,
@@ -71,30 +84,8 @@ TrainingResult EpisodeTrainer::Train(DqnAgent* agent, PartitioningEnv* env,
   Rng* rng = ctx->rng();
   TrainingResult result;
 
-  // Delta-cost engine: each action mutates at most two tables, so only the
-  // queries touching them are re-priced per step (Evaluate's auto-diff also
-  // covers the episode reset, where the state jumps back to s0). Query costs
-  // are frequency-independent, so the vector stays valid across episodes'
-  // changing workload mixes. The online env keeps the full-recompute path.
-  std::unique_ptr<costmodel::WorkloadCostTracker> tracker;
-  EvalContext* fanout_ctx = env->SupportsParallelEval() ? ctx : nullptr;
-  if (env->SupportsIncrementalCost()) {
-    tracker = std::make_unique<costmodel::WorkloadCostTracker>(
-        &env->workload(),
-        [env](int j, const partition::PartitioningState& s) {
-          return env->QueryCost(j, s, 1.0);
-        });
-  }
-  {
-    // Reward normalizer: workload cost of s0 under a uniform mix. Running it
-    // through the tracker also seeds the cost vector for episode 1.
-    std::vector<double> uniform(
-        static_cast<size_t>(env->workload().num_queries()), 1.0);
-    result.normalization =
-        tracker != nullptr ? tracker->Evaluate(InitialState(), uniform, fanout_ctx)
-                           : env->WorkloadCost(InitialState(), uniform, ctx);
-    LPA_CHECK(result.normalization > 0.0);
-  }
+  result.normalization = Normalization(env, ctx);
+  EvalContext* step_ctx = StepPricingContext(env, ctx);
   const int tmax = agent->config().tmax;
   LPA_CHECK(tmax >= schema_->num_tables());
   auto& sgd_steps = telemetry::MetricsRegistry::Global().GetCounter(
@@ -111,22 +102,7 @@ TrainingResult EpisodeTrainer::Train(DqnAgent* agent, PartitioningEnv* env,
     for (int t = 0; t < tmax; ++t) {
       int action = agent->SelectAction(enc, legal, rng);  // line 6
       LPA_CHECK(actions_->Apply(action, &state).ok());    // line 7
-      double cost;  // line 8
-      if (tracker == nullptr) {
-        cost = env->WorkloadCost(state, freqs, ctx);
-      } else if (t == 0) {
-        // Episode start: the tracker is synced to the previous episode's
-        // final state, so the action hint alone would miss the reset diff.
-        cost = tracker->Evaluate(state, freqs, fanout_ctx);
-      } else {
-        // A step's delta re-prices the few queries on one or two tables,
-        // mostly cost-cache hits of a microsecond each: less than handing
-        // them to pool workers costs (with this fan-out, SSB offline
-        // training ran ~20% slower on 4 threads than on 1 on a 4-vCPU
-        // Xeon). Only the reset's full re-pricing above fans out.
-        cost = tracker->EvaluateDelta(state, actions_->AffectedTables(action),
-                                      freqs, nullptr);
-      }
+      double cost = env->WorkloadCost(state, freqs, step_ctx);  // line 8
       double reward = 1.0 - cost / result.normalization;
       episode_best = std::max(episode_best, reward);
 
@@ -163,27 +139,23 @@ namespace {
 using partition::PartitioningState;
 using PriceResult = search::ActionPruner::Session::PriceResult;
 
-/// Prices the states one rollout visits: the environment's workload cost —
-/// delta-costed through a WorkloadCostTracker when the environment supports
-/// incremental costing — plus the optional transition term; or, with a
-/// pruner, an ActionPruner session that leaves a state unpriced when its
-/// admissible bound cannot beat the threshold. One per rollout.
+/// Prices the states one rollout visits: the environment's workload cost
+/// plus the optional transition term; or, with a pruner, an ActionPruner
+/// session that leaves a state unpriced when its admissible bound cannot
+/// beat the threshold. One per rollout.
 class RolloutPricer {
  public:
-  /// `ctx` (nullable) lets the pricings fan out over its pool.
+  /// `ctx` (nullable) reaches the environment as StepPricingContext says.
   RolloutPricer(PartitioningEnv* env, const std::vector<double>* frequencies,
                 const InferenceOptions* options,
                 const search::ActionPruner* pruner, EvalContext* ctx)
-      : env_(env), frequencies_(frequencies), options_(options), ctx_(ctx) {
+      : env_(env),
+        frequencies_(frequencies),
+        options_(options),
+        ctx_(StepPricingContext(env, ctx)) {
     if (pruner != nullptr) {
       session_ = pruner->NewSession();
       slack_ = 1.0 + pruner->prune_epsilon();
-    } else if (env->SupportsIncrementalCost()) {
-      tracker_ = std::make_unique<costmodel::WorkloadCostTracker>(
-          &env->workload(), [env](int j, const PartitioningState& s) {
-            return env->QueryCost(j, s, 1.0);
-          });
-      if (!env->SupportsParallelEval()) ctx_ = nullptr;
     }
   }
 
@@ -197,9 +169,7 @@ class RolloutPricer {
     if (session_ != nullptr) {
       return session_->PriceOrPrune(state, affected, *frequencies_, threshold);
     }
-    double cost = tracker_ != nullptr
-                      ? tracker_->Evaluate(state, *frequencies_, ctx_)
-                      : env_->WorkloadCost(state, *frequencies_, ctx_);
+    double cost = env_->WorkloadCost(state, *frequencies_, ctx_);
     if (options_->deployed != nullptr) {
       cost += options_->transition_weight *
               options_->transition_model->RepartitioningCost(
@@ -227,7 +197,6 @@ class RolloutPricer {
   const std::vector<double>* frequencies_;
   const InferenceOptions* options_;
   EvalContext* ctx_;
-  std::unique_ptr<costmodel::WorkloadCostTracker> tracker_;
   std::unique_ptr<search::ActionPruner::Session> session_;
   double slack_ = 1.0;
 };
@@ -364,8 +333,8 @@ InferenceResult EpisodeTrainer::Infer(const DqnAgent& agent,
       env->SupportsIncrementalCost() ? options.pruner : nullptr;
   RolloutCounters counters;
 
-  // Greedy rollout. Pricing s0 first also syncs the pricer to s0, so each
-  // later state is delta-costed against its predecessor.
+  // Greedy rollout. Pricing s0 first also gives a pruner session the exact
+  // per-query costs its bounds start from.
   const PartitioningState s0 = InitialState();
   RolloutPricer greedy_pricer(env, &frequencies, &options, pruner, ctx);
   InferenceResult result{s0, greedy_pricer.Price(s0, {}, kInf).cost, {}};
@@ -379,9 +348,8 @@ InferenceResult EpisodeTrainer::Infer(const DqnAgent& agent,
     LPA_CHECK(ctx != nullptr);
     const size_t n = static_cast<size_t>(options.extra_rollouts);
     std::vector<Rng> rngs = ctx->ForkRngs(n);
-    // Pricers are built here, not on the pool: tracker-backed ones allocate,
-    // and construction order must not depend on scheduling. They take no
-    // context, so a pricing inside a pooled rollout never fans out again.
+    // Pricers are built here, not on the pool. They take no context, so a
+    // pricing inside a pooled rollout never fans out again.
     std::vector<RolloutPricer> pricers;
     pricers.reserve(n);
     for (size_t i = 0; i < n; ++i) {

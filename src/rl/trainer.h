@@ -87,7 +87,8 @@ struct InferenceOptions {
   /// Exploration probability of each step of an extra rollout.
   double epsilon = 0.0;
   /// Admissible-bound pruning (src/search/) built from the environment's
-  /// own query costs; ignored by environments without incremental costing.
+  /// own query costs; ignored by environments whose query costs are not pure
+  /// (`PartitioningEnv::SupportsIncrementalCost`).
   /// The bounds cover the workload cost only, so it must not be combined
   /// with a transition term.
   const search::ActionPruner* pruner = nullptr;
@@ -104,12 +105,15 @@ struct InferenceOptions {
 /// PartitioningEnv, and the Sec 6 inference rollout.
 ///
 /// All entry points take an `EvalContext` carrying the thread pool, the RNG
-/// stream, and the metrics sink. With `ctx->pool()` set and an environment
-/// that `SupportsParallelEval()`, per-step workload costs fan out over
-/// queries and the extra inference rollouts run concurrently — each rollout
-/// on its own forked sub-RNG derived from a single master draw, with results
-/// merged in rollout-index order, so a seeded run is bit-identical at every
-/// thread count.
+/// stream, and the metrics sink. Every state is priced by
+/// `PartitioningEnv::WorkloadCost`. With `ctx->pool()` set and an environment
+/// that `SupportsParallelEval()`, the reward normalizer fans out over queries,
+/// the learner and the actor slots use the pool, and the extra inference
+/// rollouts run concurrently — each rollout on its own forked sub-RNG derived
+/// from a single master draw, with results merged in rollout-index order, so
+/// a seeded run is bit-identical at every thread count. A single step on such
+/// an environment is a few memo probes and is priced without the pool; other
+/// environments (the online one) get the pool for their engine kernels.
 class EpisodeTrainer {
  public:
   EpisodeTrainer(const schema::Schema* schema, const partition::EdgeSet* edges,
@@ -126,11 +130,11 @@ class EpisodeTrainer {
                        EvalContext* ctx) const;
 
   /// \brief Actor/learner variant of Train (defined in actor_learner.cpp):
-  /// `config.num_actors` episode actors — each with a forked RNG stream and
-  /// its own WorkloadCostTracker-backed environment clone — generate
-  /// transitions into a sharded replay buffer (one lock-free SPSC shard per
-  /// actor slot) while the learner drains the shards into the central buffer
-  /// and runs minibatch SGD with stacked-GEMM target evaluation.
+  /// `config.num_actors` episode actors — each with a forked RNG stream,
+  /// pricing through the shared environment — generate transitions into a
+  /// sharded replay buffer (one lock-free SPSC shard per actor slot) while
+  /// the learner drains the shards into the central buffer and runs
+  /// minibatch SGD with stacked-GEMM target evaluation.
   ///
   /// Episode e draws ε from the episode-indexed schedule
   /// max(ε₀·decay^e, ε_min) (ε₀ = the agent's ε on entry), so exploration is
@@ -153,10 +157,10 @@ class EpisodeTrainer {
   /// ε-randomized rollouts whose best states compete with it.
   ///
   /// Every rollout prices its states with its own pricer: the environment's
-  /// workload cost, delta-costed through a `costmodel::WorkloadCostTracker`
-  /// when the environment `SupportsIncrementalCost()`, plus the optional
-  /// transition term. With `options.pruner` the pricer is an
-  /// `ActionPruner` session instead, which saves work in three sound ways:
+  /// workload cost plus the optional transition term. With `options.pruner`
+  /// (honoured only when the environment `SupportsIncrementalCost()`) the
+  /// pricer is an `ActionPruner` session instead, which saves work in three
+  /// sound ways:
   ///
   ///  - eval-pruning: a state whose lower bound already clears the
   ///    incumbent is never priced exactly (rl.eval_prunes.count);
@@ -178,8 +182,7 @@ class EpisodeTrainer {
   /// context's pool only when the environment `SupportsParallelEval()`.
   /// Their results merge in rollout order with a strict `<`, so a seeded
   /// call is bit-identical at every thread count. The greedy rollout's
-  /// pricings may fan out over `ctx`'s pool (per query, or inside the
-  /// online environment's engine).
+  /// pricings use `ctx`'s pool only inside the online environment's engine.
   InferenceResult Infer(const DqnAgent& agent, PartitioningEnv* env,
                         const std::vector<double>& frequencies,
                         const InferenceOptions& options = {},

@@ -3,7 +3,7 @@
 #include <memory>
 #include <vector>
 
-#include "costmodel/workload_cost_tracker.h"
+#include "costmodel/cost_model.h"
 #include "partition/partition_state.h"
 #include "schema/schema.h"
 #include "workload/workload.h"
@@ -28,25 +28,27 @@ struct ActionPrunerConfig {
 /// incumbent.
 ///
 /// Construction precomputes per-query unconstrained cost floors minq_j
-/// (`ComputeQueryLowerBounds`). Each rollout owns a `Session`: an
-/// incremental `WorkloadCostTracker` plus the set of tables whose design
-/// drifted since the last exact pricing ("pending"). On every visited state
-/// the session forms the bound
+/// (`ComputeQueryLowerBounds`). Each rollout owns a `Session`: the per-query
+/// costs of the last exactly priced state, plus the set of tables whose
+/// design drifted since that pricing ("pending"). On every visited state the
+/// session forms the bound
 ///
 ///   LB = Σ_{j: f_j>0} f_j · (touched(j) ? minq_j : cost_j)
 ///
 /// where touched(j) ⇔ query j references a pending-or-just-changed table
-/// (or was never priced). LB lower-bounds the state's true cost, so when
-/// LB·(1+ε) ≥ threshold the exact pricing is skipped — with a strict-<
+/// (or nothing was priced yet). LB lower-bounds the state's true cost, so
+/// when LB·(1+ε) ≥ threshold the exact pricing is skipped — with a strict-<
 /// incumbent update and ε = 0, skipping is output-identical.
 ///
 /// Sound only for plain workload-cost objectives: transition-cost terms are
-/// not part of the bound.
+/// not part of the bound. `query_cost` must follow the `costmodel::QueryCostFn`
+/// contract; an exact pricing calls it once per weighted query, so it should
+/// be memoized (`rl::OfflineEnv::QueryCost` is).
 class ActionPruner {
  public:
   ActionPruner(const schema::Schema* schema, const workload::Workload* workload,
                const partition::EdgeSet* edges,
-               costmodel::WorkloadCostTracker::QueryCostFn query_cost,
+               costmodel::QueryCostFn query_cost,
                ActionPrunerConfig config = {});
 
   /// \brief Per-query admissible floors (index = query index).
@@ -66,8 +68,7 @@ class ActionPruner {
       bool exact = false;
     };
 
-    /// \brief Price `state` exactly (delta-costed over the pending set plus
-    /// `affected`), clearing the pending set.
+    /// \brief Price `state` exactly, clearing the pending set.
     double PriceExact(const partition::PartitioningState& state,
                       const std::vector<schema::TableId>& affected,
                       const std::vector<double>& frequencies);
@@ -90,7 +91,7 @@ class ActionPruner {
 
     /// \brief True when the last visited state was priced exactly — the
     /// precondition for `ReachableLowerBound`.
-    bool synced() const { return priced_once_ && pending_.empty(); }
+    bool synced() const { return !costs_.empty() && pending_.empty(); }
 
     /// \brief Admissible lower bound on the cost of EVERY state reachable
     /// from the last exactly-priced state within `horizon` actions: each
@@ -101,30 +102,31 @@ class ActionPruner {
     double ReachableLowerBound(const std::vector<double>& frequencies,
                                int horizon) const;
 
-    /// \brief Forget all pricing state (next pricing is a full evaluation).
-    void Reset();
-
    private:
     friend class ActionPruner;
-    Session(const ActionPruner* owner);
+    explicit Session(const ActionPruner* owner) : owner_(owner) {}
+
+    /// LB above, over the pending set.
+    double LowerBound(const std::vector<double>& frequencies) const;
 
     const ActionPruner* owner_;
-    costmodel::WorkloadCostTracker tracker_;
-    /// Tables whose design drifted across skipped pricings.
+    /// Query j's cost at the last exact pricing, or its floor minq_j when
+    /// f_j <= 0 there; empty until the first exact pricing.
+    std::vector<double> costs_;
+    /// Tables whose design drifted since the last exact pricing.
     std::vector<schema::TableId> pending_;
     double last_total_ = 0.0;
-    bool priced_once_ = false;
   };
 
   std::unique_ptr<Session> NewSession() const;
 
  private:
   const schema::Schema* schema_;
-  const workload::Workload* workload_;
-  const partition::EdgeSet* edges_;
-  costmodel::WorkloadCostTracker::QueryCostFn query_cost_;
+  costmodel::QueryCostFn query_cost_;
   ActionPrunerConfig config_;
   std::vector<double> minq_;
+  /// Tables referenced per query.
+  std::vector<std::vector<schema::TableId>> query_tables_;
 };
 
 }  // namespace lpa::search

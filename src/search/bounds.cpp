@@ -43,9 +43,9 @@ void ApplyOption(partition::PartitioningState* s, schema::TableId t,
 std::vector<double> ComputeQueryLowerBounds(
     const schema::Schema& schema, const workload::Workload& workload,
     const partition::EdgeSet& edges,
-    const costmodel::WorkloadCostTracker::QueryCostFn& query_cost,
+    const costmodel::QueryCostFn& query_cost,
     int max_enum,
-    const costmodel::WorkloadCostTracker::QueryCostFn& query_floor) {
+    const costmodel::QueryCostFn& query_floor) {
   const int n = workload.num_queries();
   std::vector<double> lb(static_cast<size_t>(n), 0.0);
   // Scratch state mutated in place: a query's cost only reads the designs of

@@ -2,7 +2,7 @@
 
 #include <vector>
 
-#include "costmodel/workload_cost_tracker.h"
+#include "costmodel/cost_model.h"
 #include "partition/partition_state.h"
 #include "schema/schema.h"
 #include "workload/workload.h"
@@ -27,17 +27,14 @@ std::vector<partition::TablePartition> TableDesignOptions(
 /// non-negative), just less informative.
 ///
 /// `query_cost` must be a pure, frequency-independent function of
-/// (query index, designs of the query's tables) — the same contract as
-/// `costmodel::WorkloadCostTracker::QueryCostFn`. `query_floor`, when set,
-/// must never exceed `query_cost` (`CostModel::QueryCostFloor`); a
-/// combination whose floor reaches the running minimum is then not priced,
-/// and the bounds are unchanged.
+/// (query index, designs of the query's tables), the `costmodel::QueryCostFn`
+/// contract. `query_floor`, when set, must never exceed `query_cost`
+/// (`CostModel::QueryCostFloor`); a combination whose floor reaches the
+/// running minimum is then not priced, and the bounds are unchanged.
 std::vector<double> ComputeQueryLowerBounds(
     const schema::Schema& schema, const workload::Workload& workload,
-    const partition::EdgeSet& edges,
-    const costmodel::WorkloadCostTracker::QueryCostFn& query_cost,
-    int max_enum = 4096,
-    const costmodel::WorkloadCostTracker::QueryCostFn& query_floor = nullptr);
+    const partition::EdgeSet& edges, const costmodel::QueryCostFn& query_cost,
+    int max_enum = 4096, const costmodel::QueryCostFn& query_floor = nullptr);
 
 /// \brief Frequency-weighted sum of per-query lower bounds — the global
 /// floor no design can beat (`B_global = Σ f_j · lb_j` over f > 0).

@@ -77,9 +77,9 @@ constexpr double kPruneGuard = 1.0 + 1e-12;
 DpDesigner::DpDesigner(const schema::Schema* schema,
                        const workload::Workload* workload,
                        const partition::EdgeSet* edges,
-                       costmodel::WorkloadCostTracker::QueryCostFn query_cost,
+                       costmodel::QueryCostFn query_cost,
                        DpDesignerConfig config,
-                       costmodel::WorkloadCostTracker::QueryCostFn query_floor)
+                       costmodel::QueryCostFn query_floor)
     : schema_(schema),
       workload_(workload),
       edges_(edges),
@@ -450,7 +450,7 @@ DpResult DpDesigner::Run(const std::vector<double>& frequencies) {
 std::optional<std::pair<PartitioningState, double>> ExhaustiveOptimum(
     const schema::Schema& schema, const workload::Workload& workload,
     const partition::EdgeSet& edges,
-    const costmodel::WorkloadCostTracker::QueryCostFn& query_cost,
+    const costmodel::QueryCostFn& query_cost,
     const std::vector<double>& frequencies, long long max_states) {
   const int num_tables = schema.num_tables();
   std::vector<std::vector<TablePartition>> options(

@@ -5,7 +5,7 @@
 #include <utility>
 #include <vector>
 
-#include "costmodel/workload_cost_tracker.h"
+#include "costmodel/cost_model.h"
 #include "partition/partition_state.h"
 #include "schema/schema.h"
 #include "workload/workload.h"
@@ -86,10 +86,9 @@ class DpDesigner {
   /// already reaches the running minimum; every bound, prune, merge and
   /// result stays the same.
   DpDesigner(const schema::Schema* schema, const workload::Workload* workload,
-             const partition::EdgeSet* edges,
-             costmodel::WorkloadCostTracker::QueryCostFn query_cost,
+             const partition::EdgeSet* edges, costmodel::QueryCostFn query_cost,
              DpDesignerConfig config = {},
-             costmodel::WorkloadCostTracker::QueryCostFn query_floor = nullptr);
+             costmodel::QueryCostFn query_floor = nullptr);
 
   /// \brief Search the design space for the given workload mix.
   DpResult Run(const std::vector<double>& frequencies);
@@ -98,8 +97,8 @@ class DpDesigner {
   const schema::Schema* schema_;
   const workload::Workload* workload_;
   const partition::EdgeSet* edges_;
-  costmodel::WorkloadCostTracker::QueryCostFn query_cost_;
-  costmodel::WorkloadCostTracker::QueryCostFn query_floor_;
+  costmodel::QueryCostFn query_cost_;
+  costmodel::QueryCostFn query_floor_;
   DpDesignerConfig config_;
 };
 
@@ -110,8 +109,7 @@ class DpDesigner {
 std::optional<std::pair<partition::PartitioningState, double>>
 ExhaustiveOptimum(
     const schema::Schema& schema, const workload::Workload& workload,
-    const partition::EdgeSet& edges,
-    const costmodel::WorkloadCostTracker::QueryCostFn& query_cost,
+    const partition::EdgeSet& edges, const costmodel::QueryCostFn& query_cost,
     const std::vector<double>& frequencies, long long max_states = 1 << 16);
 
 }  // namespace lpa::search

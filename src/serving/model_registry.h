@@ -18,9 +18,9 @@ namespace lpa::serving {
 /// exact policy `PartitioningAdvisor::Suggest` serves with
 /// `inference_extra_rollouts = 0` — on the calling thread, so its result is
 /// bit-identical to the advisor's for the same model and frequencies, at any
-/// worker count. Thread-safe: the network weights are only read, the pricing
-/// environment's cost cache is sharded and concurrent, and each request
-/// prices states through its own incremental-cost tracker.
+/// worker count. Thread-safe: the network weights are only read, and the
+/// pricing environment's cost memo is sharded and concurrent; a request
+/// keeps no pricing state of its own.
 ///
 /// `schema` and `cost_model` are borrowed and must outlive the model.
 class ServingModel {

@@ -16,7 +16,7 @@
 #include "advisor/advisor_handle.h"
 #include "autopilot/autopilot.h"
 #include "autopilot/scenarios.h"
-#include "costmodel/workload_cost_tracker.h"
+#include "rl/offline_env.h"
 #include "schema/catalogs.h"
 #include "serving/server.h"
 #include "telemetry/registry.h"
@@ -489,13 +489,10 @@ class AutopilotTest : public ::testing::Test {
                     const std::vector<double>& mix, const CostModel* model) {
     const workload::Workload* wl =
         &autopilot.controller().incumbent().advisor().workload();
-    costmodel::WorkloadCostTracker tracker(
-        wl, [model, wl](int q, const partition::PartitioningState& state) {
-          return model->QueryCost(wl->query(q), state);
-        });
+    rl::OfflineEnv env(model, wl);
     std::vector<double> padded = L1(mix);
     padded.resize(static_cast<size_t>(wl->num_queries()), 0.0);
-    return tracker.Evaluate(design, padded);
+    return env.WorkloadCost(design, padded);
   }
 
   static int Count(const std::vector<TickOutcome::Action>& actions,

@@ -23,6 +23,7 @@
 #include "rl/dqn.h"
 #include "rl/offline_env.h"
 #include "schema/catalogs.h"
+#include "telemetry/registry.h"
 #include "util/cli.h"
 #include "util/eval_context.h"
 #include "util/hash.h"
@@ -397,37 +398,52 @@ TEST(CostCacheTest, MemoizesAndCountsStats) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST(CostCacheTest, LruEvictsLeastRecentlyUsed) {
-  costmodel::CostCache::Options options;
-  options.capacity = 4;
-  options.shards = 1;
-  costmodel::CostCache cache(options);
-  cache.Insert(1u, 1);
-  cache.Insert(2u, 2);
-  cache.Insert(3u, 3);
-  cache.Insert(4u, 4);
-  ASSERT_TRUE(cache.Lookup(1u).has_value());  // refresh key 1
-  cache.Insert(5u, 5);                        // evicts key 2, the LRU tail
-  EXPECT_FALSE(cache.Lookup(2u).has_value());
-  EXPECT_TRUE(cache.Lookup(1u).has_value());
-  EXPECT_TRUE(cache.Lookup(5u).has_value());
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.size(), 4u);
-}
+TEST(CostCacheTest, FullMemoRefusesInsertsAndKeepsAnswering) {
+  using costmodel::CostCache;
+  CostCache cache;
+  auto& evictions = telemetry::MetricsRegistry::Global().GetCounter(
+      "costmodel.cost_cache_evictions.count");
+  const uint64_t evictions_before = evictions.value();
+  auto value_of = [](uint64_t key) { return static_cast<double>(key) + 0.25; };
 
-TEST(CostCacheTest, ZeroCapacityDisablesCaching) {
-  costmodel::CostCache::Options options;
-  options.capacity = 0;
-  costmodel::CostCache cache(options);
-  int computes = 0;
-  auto compute = [&] {
-    ++computes;
-    return 1.0;
-  };
-  cache.GetOrCompute(7u, compute);
-  cache.GetOrCompute(7u, compute);
-  EXPECT_EQ(computes, 2);
-  EXPECT_EQ(cache.size(), 0u);
+  // Keys 0, 1, 2, ... (0 is a key like any other), an eighth more than the
+  // memo holds, so that every shard fills. A refused insert still answers
+  // with the value it computed.
+  const uint64_t num_keys = CostCache::kCapacity + CostCache::kCapacity / 8;
+  uint64_t computes = 0;
+  for (uint64_t key = 0; key < num_keys; ++key) {
+    const double got = cache.GetOrCompute(key, [&] {
+      ++computes;
+      return value_of(key);
+    });
+    ASSERT_EQ(got, value_of(key)) << "key " << key;
+  }
+  EXPECT_EQ(computes, num_keys);
+  EXPECT_EQ(cache.size(), CostCache::kCapacity);
+  const uint64_t refused = num_keys - CostCache::kCapacity;
+  EXPECT_EQ(evictions.value() - evictions_before, refused);
+
+  // Stored keys hit; every refused key is computed again, answered, and
+  // refused again. The memo does not grow.
+  computes = 0;
+  for (uint64_t key = 0; key < num_keys; ++key) {
+    const double got = cache.GetOrCompute(key, [&] {
+      ++computes;
+      return value_of(key);
+    });
+    ASSERT_EQ(got, value_of(key)) << "key " << key;
+    // No shard can be full before 16,384 keys went in.
+    if (key < CostCache::kShardCapacity) {
+      ASSERT_EQ(computes, 0u) << "key " << key;
+    }
+  }
+  EXPECT_EQ(computes, refused);
+  EXPECT_EQ(cache.size(), CostCache::kCapacity);
+  EXPECT_EQ(evictions.value() - evictions_before, 2 * refused);
+  const CostCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 2 * refused);
+  EXPECT_EQ(stats.hits, CostCache::kCapacity);
+  EXPECT_EQ(stats.misses, num_keys + refused);
 }
 
 TEST(CostCacheTest, ConcurrentGetOrComputeIsConsistent) {

@@ -43,7 +43,7 @@ class MicroSearchTest : public ::testing::Test {
     workload_.SetUniformFrequencies();
   }
 
-  costmodel::WorkloadCostTracker::QueryCostFn QueryCost() const {
+  costmodel::QueryCostFn QueryCost() const {
     return [this](int j, const PartitioningState& s) {
       return model_.QueryCost(workload_.query(j), s);
     };

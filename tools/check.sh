@@ -111,13 +111,14 @@
 # BM_SealSsbFactTable, BM_RepartitionFactTable: a cold repartition on a fresh
 # cluster) and the online-engine benchmarks (BM_OnlineEnvTpcchSample*: the
 # seeded online replay of tests/online_golden_test.cpp on perfbench
-# refine_tpcch's 20% sample, serial and on a 4-thread pool), followed by its
-# post-benchmark kernels: the workload-cost kernel (full recompute vs
-# incremental delta costing), the storage kernel (encode/decode MB/s per
-# encoding and per-column compression) and the engine kernel
-# (pool-parallel ExecuteWorkload at 1/2/8 threads with bit-identity digest
-# checks). BENCH_micro_components.json, BENCH_storage.json and
-# BENCH_engine.json land in $LPA_METRICS_DIR (or build-perf).
+# refine_tpcch's 20% sample, serial and on a 4-thread pool) and warm
+# per-step workload pricing through the query cost memo
+# (BM_OfflineEnvStepCost{Ssb,Tpcch}), followed by its post-benchmark
+# kernels: the storage kernel (encode/decode MB/s per encoding and
+# per-column compression), the engine kernel (pool-parallel
+# ExecuteWorkload at 1/2/8 threads with bit-identity digest checks) and the
+# actor/learner training kernel. BENCH_storage.json, BENCH_engine.json and
+# BENCH_training.json land in $LPA_METRICS_DIR (or build-perf).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -136,10 +137,10 @@ if [[ "${PRESET}" == "perf" ]]; then
     echo "== FAIL: lpa_nn contains FMA instructions (see above) =="
     exit 1
   fi
-  echo "== planner + learner + storage + online-engine benchmarks + perf kernels: workload-cost (full vs incremental) + storage + engine (pool-parallel) =="
+  echo "== planner + learner + storage + online-engine + step-pricing benchmarks + perf kernels: storage + engine (pool-parallel) + training =="
   LPA_METRICS_DIR="${LPA_METRICS_DIR:-${BUILD_DIR}}" \
     "${BUILD_DIR}/bench/bench_micro_components" \
-      --benchmark_filter='CostModelPlan|DpDesign|DqnTrainStep|TrainOffline|MlpForward|Seal|RepartitionFactTable|GenerateSsb|OnlineEnv'
+      --benchmark_filter='CostModelPlan|DpDesign|DqnTrainStep|TrainOffline|MlpForward|Seal|RepartitionFactTable|GenerateSsb|OnlineEnv|OfflineEnvStepCost'
   echo "== OK: matching digests above = bit-identical results; see BENCH_engine.json =="
   exit 0
 fi
