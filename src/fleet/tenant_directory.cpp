@@ -1,11 +1,18 @@
 #include "fleet/tenant_directory.h"
 
+#include <cstdio>
 #include <utility>
 
 #include "telemetry/registry.h"
 #include "util/logging.h"
 
 namespace lpa::fleet {
+
+std::string TenantName(int index) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "tenant-%04d", index);
+  return buf;
+}
 
 serving::ModelRegistry* TenantDirectory::GetOrCreate(
     const std::string& tenant) {

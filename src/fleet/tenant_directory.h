@@ -10,6 +10,11 @@
 
 namespace lpa::fleet {
 
+/// \brief Canonical tenant names for load and tests: "tenant-0000",
+/// "tenant-0001", ... (index = `serving::RunLoadgen`'s tenant, which is its
+/// popularity rank, 0 hottest).
+std::string TenantName(int index);
+
 /// \brief Per-tenant namespaces of versioned serving models: each tenant
 /// (one managed database in the paper's cloud framing) owns its own
 /// `serving::ModelRegistry`, so tenants hot-swap independently — publishing

@@ -16,19 +16,6 @@ Matrix Matrix::FromRows(const std::vector<std::vector<double>>& rows) {
   return m;
 }
 
-namespace {
-
-/// C rows [0, m) of `g` through the active kernel; see kernels::RowChunk.
-void RunGemm(const kernels::GemmArgs& g, size_t m, ThreadPool* pool) {
-  const kernels::Ops& ops = kernels::Active();
-  kernels::ForChunks(pool, m, kernels::RowChunk(g.k * g.n),
-                     [&ops, &g](size_t begin, size_t end) {
-                       ops.gemm_rows(g, begin, end);
-                     });
-}
-
-}  // namespace
-
 void Gemm(const Matrix& a, const Matrix& b, Matrix* c, ThreadPool* pool,
           const Matrix* bias, bool relu) {
   assert(a.cols() == b.rows());
@@ -43,22 +30,12 @@ void Gemm(const Matrix& a, const Matrix& b, Matrix* c, ThreadPool* pool,
   g.n = b.cols();
   g.bias = bias != nullptr ? bias->data().data() : nullptr;
   g.relu = relu;
-  RunGemm(g, a.rows(), pool);
-}
-
-void GemmTransA(const Matrix& a, const Matrix& b, Matrix* c, ThreadPool* pool) {
-  assert(a.rows() == b.rows());
-  assert(c->rows() == a.cols() && c->cols() == b.cols());
-  // Row i of C reads column i of A; the sum over p stays in ascending order.
-  kernels::GemmArgs g;
-  g.a = a.data().data();
-  g.a_row = 1;
-  g.a_col = a.cols();
-  g.b = b.data().data();
-  g.c = c->data().data();
-  g.k = a.rows();
-  g.n = b.cols();
-  RunGemm(g, a.cols(), pool);
+  // Rows of C through the active kernel; see kernels::RowChunk.
+  const kernels::Ops& ops = kernels::Active();
+  kernels::ForChunks(pool, a.rows(), kernels::RowChunk(g.k * g.n),
+                     [&ops, &g](size_t begin, size_t end) {
+                       ops.gemm_rows(g, begin, end);
+                     });
 }
 
 void TransposeRows(const Matrix& m, size_t begin, size_t end, Matrix* t) {
@@ -78,24 +55,6 @@ void TransposeRows(const Matrix& m, size_t begin, size_t end, Matrix* t) {
       }
     }
   }
-}
-
-void GemmTransB(const Matrix& a, const Matrix& b, Matrix* c, ThreadPool* pool,
-                Matrix* bt) {
-  assert(a.cols() == b.cols());
-  assert(c->rows() == a.rows() && c->cols() == b.rows());
-  Matrix local;
-  if (bt == nullptr) bt = &local;
-  TransposeRows(b, 0, b.rows(), bt);
-  kernels::GemmArgs g;
-  g.a = a.data().data();
-  g.a_row = a.cols();
-  g.b = bt->data().data();
-  g.c = c->data().data();
-  g.k = a.cols();
-  g.n = b.rows();
-  g.skip_zero = false;
-  RunGemm(g, a.rows(), pool);
 }
 
 }  // namespace lpa::nn

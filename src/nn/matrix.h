@@ -66,35 +66,22 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// All three GEMMs overwrite C and optionally run on a thread pool. Every
-/// element C(i, j) is a sum over ascending p of separately rounded products,
-/// started from +0.0. Work is partitioned over rows of C only, so each
-/// output element is accumulated by exactly one thread in that order —
-/// results are bit-identical at every thread count and vector width. Small
-/// products (fewer flops than one chunk is worth) run inline regardless of
-/// the pool.
-
-/// \brief C = A * B (A: m x k, B: k x n). C must be pre-sized m x n. Terms
-/// with A(i, p) == 0 are skipped (one-hot inputs are mostly zero). With
-/// `bias` ([1 x n]) each element becomes sum + bias(0, j), and with `relu`
-/// then v > 0 ? v : 0 — both applied as the element is stored.
+/// \brief C = A * B (A: m x k, B: k x n). C must be pre-sized m x n and is
+/// overwritten. Every element C(i, j) is a sum over ascending p of
+/// separately rounded products, started from +0.0; terms with A(i, p) == 0
+/// are skipped (one-hot inputs are mostly zero). With `bias` ([1 x n]) each
+/// element becomes sum + bias(0, j), and with `relu` then v > 0 ? v : 0 —
+/// both applied as the element is stored. Work is partitioned over rows of
+/// C only, so each output element is accumulated by exactly one thread in
+/// that order — results are bit-identical at every thread count and vector
+/// width. Small products (fewer flops than one chunk is worth) run inline
+/// regardless of the pool.
 void Gemm(const Matrix& a, const Matrix& b, Matrix* c,
           ThreadPool* pool = nullptr, const Matrix* bias = nullptr,
           bool relu = false);
 
-/// \brief C = A^T * B (A: k x m, B: k x n). C must be pre-sized m x n.
-/// Terms with A(p, i) == 0 are skipped.
-void GemmTransA(const Matrix& a, const Matrix& b, Matrix* c,
-                ThreadPool* pool = nullptr);
-
 /// \brief T = (rows [begin, end) of M)^T, resizing T to M.cols() x
 /// (end - begin).
 void TransposeRows(const Matrix& m, size_t begin, size_t end, Matrix* t);
-
-/// \brief C = A * B^T (A: m x k, B: n x k). C must be pre-sized m x n. No
-/// term is skipped. The product runs on a transposed copy of B, kept in `bt`
-/// when given (reused across calls) and in a temporary otherwise.
-void GemmTransB(const Matrix& a, const Matrix& b, Matrix* c,
-                ThreadPool* pool = nullptr, Matrix* bt = nullptr);
 
 }  // namespace lpa::nn

@@ -15,8 +15,12 @@
 //  * fast: work-stealing. Actors claim episode indices from a shared atomic
 //    counter and stream transitions continuously; the learner trains
 //    concurrently against policy snapshots it republishes every
-//    publish_interval steps. No barrier, best wall-clock, no digest
+//    kPublishInterval steps. No barrier, best wall-clock, no digest
 //    stability (episode→actor assignment depends on timing).
+//
+// In both modes the learner runs one SGD step per drained transition, as
+// the serial loop does, and each actor's shard holds one episode (tmax
+// transitions), exactly a deterministic round's worst case.
 
 #include <algorithm>
 #include <atomic>
@@ -38,6 +42,9 @@ namespace lpa::rl {
 
 namespace {
 
+/// Fast mode: SGD steps between policy snapshot publishes.
+constexpr int kPublishInterval = 64;
+
 double SecondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
@@ -50,17 +57,12 @@ TrainingResult EpisodeTrainer::TrainActorLearner(
     int episodes, const ActorLearnerConfig& config, EvalContext* ctx) const {
   LPA_CHECK(ctx != nullptr);
   LPA_CHECK(config.num_actors >= 1);
-  LPA_CHECK(config.steps_per_transition >= 1);
-  LPA_CHECK(config.publish_interval >= 1);
   telemetry::Span span("rl.train_actor_learner");
   auto& tm = internal::TrainerMetrics::Get();
 
   const int tmax = agent->config().tmax;
   LPA_CHECK(tmax >= schema_->num_tables());
   const int num_actors = config.num_actors;
-  const size_t shard_capacity = config.shard_capacity != 0
-                                    ? config.shard_capacity
-                                    : static_cast<size_t>(tmax);
   // Actors may only execute concurrently when the environment prices states
   // thread-safely; otherwise the slots run sequentially on the caller — the
   // digests are unaffected because the slot mapping never depends on who
@@ -78,7 +80,7 @@ TrainingResult EpisodeTrainer::TrainActorLearner(
   Rng* learner_rng = &rngs.back();
 
   ReplayBuffer replay(static_cast<size_t>(agent->config().replay_capacity));
-  ShardedReplayBuffer shards(num_actors, shard_capacity);
+  ShardedReplayBuffer shards(num_actors, static_cast<size_t>(tmax));
   const size_t min_batch = static_cast<size_t>(agent->config().batch_size);
 
   // Episode-indexed ε schedule: episode e explores with max(ε₀·decay^e,
@@ -141,18 +143,16 @@ TrainingResult EpisodeTrainer::TrainActorLearner(
         for (size_t s = 0; s < static_cast<size_t>(round); ++s) run_slot(s);
       }
       // Barrier passed: slot-order merge, then the learner catches up at
-      // steps_per_transition SGD steps per drained transition.
+      // one SGD step per drained transition.
       shards.ObserveDepths();
       const size_t drained = shards.DrainOrdered(
           [&replay](Transition&& t) { replay.Add(std::move(t)); });
       result.steps += drained;
       if (replay.size() >= min_batch) {
-        const size_t steps =
-            drained * static_cast<size_t>(config.steps_per_transition);
-        for (size_t s = 0; s < steps; ++s) {
+        for (size_t s = 0; s < drained; ++s) {
           agent->TrainStepFrom(replay, learner_rng, ctx->pool());
         }
-        learner_steps += steps;
+        learner_steps += drained;
       }
     }
   } else {
@@ -202,14 +202,12 @@ TrainingResult EpisodeTrainer::TrainActorLearner(
       return got;
     };
     auto train_to_target = [&](bool allow_publish) {
-      const size_t target =
-          drained_total * static_cast<size_t>(config.steps_per_transition);
       bool trained = false;
-      while (learner_steps < target && replay.size() >= min_batch) {
+      while (learner_steps < drained_total && replay.size() >= min_batch) {
         agent->TrainStepFrom(replay, learner_rng, ctx->pool());
         ++learner_steps;
         trained = true;
-        if (allow_publish && ++since_publish >= config.publish_interval) {
+        if (allow_publish && ++since_publish >= kPublishInterval) {
           publish_policy();
           since_publish = 0;
         }

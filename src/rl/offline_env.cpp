@@ -1,28 +1,8 @@
 #include "rl/offline_env.h"
 
-#include "telemetry/registry.h"
 #include "util/hash.h"
 
 namespace lpa::rl {
-
-namespace {
-
-/// Cost-model evaluation volume: one tick per QueryCost call (memo hit or
-/// not). The hit/miss/refusal breakdown lives in the CostCache's own
-/// `costmodel.cost_cache_*.count` counters — this is deliberately the only
-/// counter the env adds on top.
-struct OfflineEnvMetrics {
-  telemetry::Counter& evals;
-
-  static OfflineEnvMetrics& Get() {
-    auto& reg = telemetry::MetricsRegistry::Global();
-    static OfflineEnvMetrics* m = new OfflineEnvMetrics{
-        reg.GetCounter("costmodel.cache_evals.count")};
-    return *m;
-  }
-};
-
-}  // namespace
 
 double PartitioningEnv::WorkloadCost(const partition::PartitioningState& state,
                                      const std::vector<double>& frequencies,
@@ -78,7 +58,6 @@ void OfflineEnv::SyncWorkload() {
 double OfflineEnv::QueryCost(int query_index,
                              const partition::PartitioningState& state,
                              double /*frequency*/) {
-  OfflineEnvMetrics::Get().evals.Add();
   const auto& tables = query_tables_[static_cast<size_t>(query_index)];
   uint64_t key = HashCombine(Hash64(static_cast<uint64_t>(query_index)),
                              state.DesignFingerprint(tables));

@@ -51,22 +51,12 @@ struct ActorLearnerConfig {
     kDeterministic,
     /// Work-stealing: actors claim episode indices from a shared counter and
     /// stream transitions while the learner trains concurrently, publishing
-    /// fresh policy snapshots every `publish_interval` SGD steps. No merge
-    /// barrier, best wall-clock — but episode→actor assignment depends on
-    /// timing, so digests are NOT stable across runs or thread counts.
+    /// fresh policy snapshots every 64 SGD steps. No merge barrier, best
+    /// wall-clock — but episode→actor assignment depends on timing, so
+    /// digests are NOT stable across runs or thread counts.
     kFast,
   };
   Mode mode = Mode::kDeterministic;
-
-  /// Learner SGD steps per drained transition (the serial loop does 1).
-  int steps_per_transition = 1;
-
-  /// Per-shard SPSC ring capacity; 0 sizes each shard to one episode
-  /// (tmax transitions) — exactly a deterministic round's worst case.
-  size_t shard_capacity = 0;
-
-  /// kFast only: SGD steps between policy snapshot publishes.
-  int publish_interval = 64;
 };
 
 /// \brief Result of the greedy inference rollout (Sec 6).

@@ -36,26 +36,6 @@ TEST(MatrixTest, Gemm) {
   EXPECT_DOUBLE_EQ(c.at(1, 1), 50.0);
 }
 
-TEST(MatrixTest, GemmTransA) {
-  // A^T * B with A 3x2, B 3x2 -> 2x2.
-  Matrix a = Matrix::FromRows({{1, 4}, {2, 5}, {3, 6}});
-  Matrix b = Matrix::FromRows({{7, 10}, {8, 11}, {9, 12}});
-  Matrix c(2, 2);
-  GemmTransA(a, b, &c);
-  EXPECT_DOUBLE_EQ(c.at(0, 0), 1 * 7 + 2 * 8 + 3 * 9);
-  EXPECT_DOUBLE_EQ(c.at(1, 1), 4 * 10 + 5 * 11 + 6 * 12);
-}
-
-TEST(MatrixTest, GemmTransB) {
-  // A * B^T with A 2x3, B 2x3 -> 2x2.
-  Matrix a = Matrix::FromRows({{1, 2, 3}, {4, 5, 6}});
-  Matrix b = Matrix::FromRows({{7, 8, 9}, {10, 11, 12}});
-  Matrix c(2, 2);
-  GemmTransB(a, b, &c);
-  EXPECT_DOUBLE_EQ(c.at(0, 0), 1 * 7 + 2 * 8 + 3 * 9);
-  EXPECT_DOUBLE_EQ(c.at(0, 1), 1 * 10 + 2 * 11 + 3 * 12);
-}
-
 TEST(MlpTest, DeterministicInitialization) {
   MlpConfig config;
   config.input_dim = 4;

@@ -2,11 +2,12 @@
 // shutdown semantics, served suggestions bit-identical to serial inference
 // at any worker count, admission control and deadline shedding in the
 // server, RCU model hot-swap under concurrent load, and the load
-// generator's request accounting.
+// generator's request accounting and open-loop latency.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <future>
 #include <limits>
@@ -499,6 +500,13 @@ TEST_F(ServingTest, HotSwapServesInFlightOnOldVersionAndDropsNothing) {
 // ---------------------------------------------------------------------------
 // Load generator
 
+/// Sends every load generator request to `server` (one tenant).
+SubmitFn ToServer(AdvisorServer* server) {
+  return [server](int, std::vector<double> mix, double deadline_seconds) {
+    return server->SubmitAsync(std::move(mix), deadline_seconds);
+  };
+}
+
 TEST_F(ServingTest, LoadgenAccountsForEveryRequest) {
   ModelRegistry registry;
   registry.Publish(MakeModel());
@@ -513,7 +521,7 @@ TEST_F(ServingTest, LoadgenAccountsForEveryRequest) {
   options.num_queries = workload_->num_queries();
   options.seed = 11;
   std::atomic<bool> swapped{false};
-  LoadgenReport report = RunLoadgen(&server, options, [&] {
+  LoadgenReport report = RunLoadgen(ToServer(&server), options, [&] {
     registry.Publish(MakeModel());
     swapped.store(true);
   });
@@ -543,7 +551,7 @@ TEST_F(ServingTest, OpenLoopLoadgenResolvesAllFutures) {
   options.qps = 200.0;
   options.duration_seconds = 0.3;
   options.num_queries = workload_->num_queries();
-  LoadgenReport report = RunLoadgen(&server, options);
+  LoadgenReport report = RunLoadgen(ToServer(&server), options);
   server.Stop();
 
   EXPECT_TRUE(report.CountersConsistent());
@@ -553,6 +561,43 @@ TEST_F(ServingTest, OpenLoopLoadgenResolvesAllFutures) {
   // every one of them still resolved its future.
   EXPECT_EQ(report.submitted,
             report.completed + report.rejected + report.shed);
+  // Every request was due inside the run and sent before it ended.
+  EXPECT_GE(report.max_lateness_seconds, 0.0);
+  EXPECT_LE(report.max_lateness_seconds, report.wall_seconds);
+}
+
+TEST_F(ServingTest, OpenLoopLatencyCountsFromTheSchedule) {
+  ModelRegistry registry;
+  registry.Publish(MakeModel());
+  ServerConfig config;
+  config.worker_threads = 2;
+  AdvisorServer server(&registry, config);
+  ASSERT_TRUE(server.Start().ok());
+
+  // The dispatcher stalls 50 ms in its second send, so the requests due
+  // meanwhile (every 5 ms) go out late, in a burst.
+  constexpr double kStall = 0.05;
+  int sends = 0;
+  SubmitFn submit = [&](int, std::vector<double> mix, double deadline) {
+    if (++sends == 2) {
+      std::this_thread::sleep_for(std::chrono::duration<double>(kStall));
+    }
+    return server.SubmitAsync(std::move(mix), deadline);
+  };
+  LoadgenOptions options;
+  options.open_loop = true;
+  options.qps = 200.0;
+  options.duration_seconds = 0.2;
+  options.num_queries = workload_->num_queries();
+  LoadgenReport report = RunLoadgen(submit, options);
+  server.Stop();
+
+  EXPECT_TRUE(report.CountersConsistent());
+  EXPECT_EQ(report.completed, report.submitted);
+  // The request due 5 ms after the stalled one was sent ~45 ms late, and
+  // its latency includes that wait.
+  EXPECT_GE(report.max_lateness_seconds, kStall - 0.01);
+  EXPECT_GE(report.latency_max, report.max_lateness_seconds);
 }
 
 }  // namespace

@@ -15,6 +15,9 @@
 #   $ BUILD_DIR=build-asan tools/check.sh
 #   $ CTEST_FILTER=advisor tools/check.sh tsan
 #
+# The default and tsan presets build everything with -Werror on top of the
+# project's -Wall -Wextra: the build stays warning-free.
+#
 # The tsan preset builds with -DLPA_SANITIZE=thread into build-tsan and, by
 # default, runs only the tests that exercise the parallel evaluation engine
 # (parallel_eval_test, with the learner step on a blocked and on a shared
@@ -287,9 +290,9 @@ else
 fi
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-echo "== configure (${BUILD_DIR}, -fsanitize=${SANITIZE}) =="
+echo "== configure (${BUILD_DIR}, -fsanitize=${SANITIZE}, -Werror) =="
 cmake -B "${BUILD_DIR}" -S . -DLPA_SANITIZE="${SANITIZE}" \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCMAKE_CXX_FLAGS=-Werror > /dev/null
 
 echo "== build =="
 cmake --build "${BUILD_DIR}" -j "${JOBS}"

@@ -25,8 +25,8 @@
 // reports detections, retrains, hot swaps, rollbacks, and the final deployed
 // design.
 //
-//   $ lpa_advise --ddl schema.sql --workload workload.sql \
-//       --autopilot --drift-scenario flash-crowd
+//   $ lpa_advise --ddl schema.sql --workload workload.sql
+//                --autopilot --drift-scenario flash-crowd
 
 #include <fstream>
 #include <iostream>
