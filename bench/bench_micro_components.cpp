@@ -264,6 +264,46 @@ void BM_DqnTrainStepTpcchPool4(benchmark::State& s) {
 }
 BENCHMARK(BM_DqnTrainStepTpcchPool4);
 
+/// One serial TPC-CH minibatch step (batch 32) over a replay of 5,400
+/// transitions built the way EpisodeTrainer::Train builds them: 150 episodes
+/// of 36 steps (perfbench refine_tpcch's 75 offline plus 75 online), each
+/// under its own sampled frequency mix, with seeded uniform legal actions
+/// and seeded rewards. Unlike DqnTrainStep's 64 copies of one transition,
+/// every minibatch gathers 32 different rows from the whole buffer.
+void BM_DqnTrainStepTpcchReplay(benchmark::State& s) {
+  auto& f = Tpcch();
+  partition::ActionSpace actions(&f.schema, &f.edges);
+  partition::Featurizer featurizer(&f.schema, &f.edges, f.wl.num_queries());
+  rl::DqnConfig config;
+  config.tmax = 36;
+  rl::DqnAgent agent(&featurizer, &actions, config);
+  Rng walk(17);
+  for (int e = 0; e < 150; ++e) {
+    const std::vector<double> freqs =
+        workload::SampleUniformFrequencies(f.wl.num_queries(), &walk);
+    partition::PartitioningState state = f.state;
+    std::vector<double> enc = featurizer.EncodeState(state, freqs);
+    std::vector<int> legal = actions.LegalActions(state);
+    for (int t = 0; t < config.tmax; ++t) {
+      const int action = legal[static_cast<size_t>(
+          walk.UniformInt(0, static_cast<int64_t>(legal.size()) - 1))];
+      LPA_CHECK(actions.Apply(action, &state).ok());
+      std::vector<double> next_enc = featurizer.EncodeState(state, freqs);
+      std::vector<int> next_legal = actions.LegalActions(state);
+      agent.Observe(rl::Transition{std::move(enc), action,
+                                   walk.Uniform(-1.0, 1.0), next_enc,
+                                   next_legal});
+      enc = std::move(next_enc);
+      legal = std::move(next_legal);
+    }
+  }
+  Rng rng(3);
+  for (auto _ : s) {
+    benchmark::DoNotOptimize(agent.TrainStep(&rng));
+  }
+}
+BENCHMARK(BM_DqnTrainStepTpcchReplay);
+
 /// perfbench serve_ssb's design phase: the 64-episode SSB model (tmax 16)
 /// trained offline on the exact in-memory cost model, with `threads`
 /// threads, from a fresh advisor per iteration. Unlike DqnTrainStep, its
