@@ -3,7 +3,10 @@
 // N logical episode actors generate transitions into a sharded replay
 // buffer — one lock-free SPSC shard per actor slot — while the learner
 // drains the shards into its central ReplayBuffer and runs minibatch SGD
-// (stacked-GEMM target evaluation, see DqnAgent::TrainStepFrom). Two modes:
+// (stacked-GEMM target evaluation, see DqnAgent::TrainStepFrom). The
+// central buffer stores a transition's s once when it is the previous
+// merged transition's s': a shard drains its episode in step order, so
+// only the first step of each drained run stores both states. Two modes:
 //
 //  * deterministic (default): synchronous rounds. Each round snapshots the
 //    policy once, runs up to N episodes (slot s takes episode e0+s — a fixed
@@ -146,7 +149,7 @@ TrainingResult EpisodeTrainer::TrainActorLearner(
       // one SGD step per drained transition.
       shards.ObserveDepths();
       const size_t drained = shards.DrainOrdered(
-          [&replay](Transition&& t) { replay.Add(std::move(t)); });
+          [&replay](Transition&& t) { replay.Add(t); });
       result.steps += drained;
       if (replay.size() >= min_batch) {
         for (size_t s = 0; s < drained; ++s) {
@@ -197,7 +200,7 @@ TrainingResult EpisodeTrainer::TrainActorLearner(
     int since_publish = 0;
     auto drain = [&]() {
       const size_t got = shards.DrainAvailable(
-          [&replay](Transition&& t) { replay.Add(std::move(t)); });
+          [&replay](Transition&& t) { replay.Add(t); });
       if (got > 0) shards.ObserveDepths();
       return got;
     };

@@ -13,13 +13,15 @@ struct DqnMetrics {
   telemetry::Counter& train_steps;
   telemetry::Gauge& loss;
   telemetry::Gauge& replay_size;
+  telemetry::Gauge& replay_bytes;
 
   static DqnMetrics& Get() {
     auto& reg = telemetry::MetricsRegistry::Global();
     static DqnMetrics* m = new DqnMetrics{
         reg.GetCounter("rl.train_steps.count"),
         reg.GetGauge("rl.loss.value"),
-        reg.GetGauge("rl.replay_size.count")};
+        reg.GetGauge("rl.replay_size.count"),
+        reg.GetGauge("rl.replay_bytes.bytes")};
     return *m;
   }
 };
@@ -161,7 +163,7 @@ void DqnAgent::DecayEpsilon() {
   epsilon_ = std::max(epsilon_ * config_.epsilon_decay, config_.epsilon_min);
 }
 
-void DqnAgent::Observe(Transition t) { replay_.Add(std::move(t)); }
+void DqnAgent::Observe(Transition t) { replay_.Add(t); }
 
 double DqnAgent::TrainStep(Rng* rng, ThreadPool* pool) {
   return TrainStepFrom(replay_, rng, pool);
@@ -172,11 +174,11 @@ double DqnAgent::TrainStepFrom(const ReplayBuffer& replay, Rng* rng,
   if (replay.size() < static_cast<size_t>(config_.batch_size)) return 0.0;
   LearnerScratch& ls = scratch_;
   replay.Sample(static_cast<size_t>(config_.batch_size), rng, &ls.batch);
-  const auto& batch = ls.batch;
+  const std::vector<size_t>& batch = ls.batch;
   const size_t state_dim = static_cast<size_t>(featurizer_->state_dim());
-  for (const Transition* t : batch) {
-    LPA_CHECK(t->state_enc.size() == state_dim &&
-              t->next_enc.size() == state_dim);
+  for (size_t row : batch) {
+    LPA_CHECK(replay.state_dim(row) == state_dim &&
+              replay.next_dim(row) == state_dim);
   }
 
   // The soft target update rides in the Q-network's parameter pass.
@@ -185,27 +187,27 @@ double DqnAgent::TrainStepFrom(const ReplayBuffer& replay, Rng* rng,
   if (config_.mode == QNetworkMode::kMultiHead) {
     // TD targets r + gamma * max_a' Q_target(s', a'), from the target
     // network's pass over the next states, which the Q-network's step runs
-    // next to its own forward pass.
+    // next to its own forward pass. The sampled rows decode straight into
+    // the batch matrices.
     ls.next_x.Resize(batch.size(), state_dim);
     ls.x.Resize(batch.size(), state_dim);
     ls.heads.resize(batch.size());
     for (size_t i = 0; i < batch.size(); ++i) {
-      std::copy(batch[i]->next_enc.begin(), batch[i]->next_enc.end(),
-                ls.next_x.row(i));
-      std::copy(batch[i]->state_enc.begin(), batch[i]->state_enc.end(),
-                ls.x.row(i));
-      ls.heads[i] = batch[i]->action_id;
+      replay.DecodeNextState(batch[i], ls.next_x.row(i));
+      replay.DecodeState(batch[i], ls.x.row(i));
+      ls.heads[i] = replay.action_id(batch[i]);
     }
     const double gamma = config_.gamma;
     const nn::ForwardTargets targets{
         target_.get(), &ls.next_x,
-        [&batch, gamma](const nn::Matrix& next_q, std::vector<double>* y) {
+        [&replay, &batch, gamma](const nn::Matrix& next_q,
+                                 std::vector<double>* y) {
           for (size_t i = 0; i < batch.size(); ++i) {
             double best = -1e30;
-            for (int a : batch[i]->next_legal) {
+            replay.ForEachNextLegal(batch[i], [&](int a) {
               best = std::max(best, next_q.at(i, static_cast<size_t>(a)));
-            }
-            (*y)[i] = batch[i]->reward + gamma * best;
+            });
+            (*y)[i] = replay.reward(batch[i]) + gamma * best;
           }
         }};
     loss = q_->TrainMaskedMse(ls.x, ls.heads, targets, config_.learning_rate,
@@ -216,28 +218,31 @@ double DqnAgent::TrainStepFrom(const ReplayBuffer& replay, Rng* rng,
     // bit-identical to the per-transition forward (the GEMM accumulates each
     // row independently in a fixed order), so the targets are unchanged.
     ls.targets.resize(batch.size());
+    ls.state.resize(state_dim);
     size_t stacked = 0;
-    for (const Transition* t : batch) stacked += t->next_legal.size();
+    for (size_t row : batch) stacked += replay.next_legal_count(row);
     ls.x.Resize(stacked, static_cast<size_t>(InputDim()));
-    size_t row = 0;
-    for (const Transition* t : batch) {
-      for (int a : t->next_legal) {
-        FillStateAction(t->next_enc, a, ls.x.row(row++));
-      }
+    size_t r = 0;
+    for (size_t row : batch) {
+      replay.DecodeNextState(row, ls.state.data());
+      replay.ForEachNextLegal(row, [&](int a) {
+        FillStateAction(ls.state, a, ls.x.row(r++));
+      });
     }
     const nn::Matrix& out = target_->Forward(ls.x, &ls.fwd_a, &ls.fwd_b, pool);
-    row = 0;
+    r = 0;
     for (size_t i = 0; i < batch.size(); ++i) {
       double best = -1e30;
-      for (size_t j = 0; j < batch[i]->next_legal.size(); ++j) {
-        best = std::max(best, out.at(row++, 0));
+      for (size_t j = 0; j < replay.next_legal_count(batch[i]); ++j) {
+        best = std::max(best, out.at(r++, 0));
       }
-      ls.targets[i] = batch[i]->reward + config_.gamma * best;
+      ls.targets[i] = replay.reward(batch[i]) + config_.gamma * best;
     }
     ls.x.Resize(batch.size(), static_cast<size_t>(InputDim()));
     ls.y.Resize(batch.size(), 1);
     for (size_t i = 0; i < batch.size(); ++i) {
-      FillStateAction(batch[i]->state_enc, batch[i]->action_id, ls.x.row(i));
+      replay.DecodeState(batch[i], ls.state.data());
+      FillStateAction(ls.state, replay.action_id(batch[i]), ls.x.row(i));
       ls.y.at(i, 0) = ls.targets[i];
     }
     loss = q_->TrainMse(ls.x, ls.y, config_.learning_rate, pool, soft);
@@ -246,6 +251,7 @@ double DqnAgent::TrainStepFrom(const ReplayBuffer& replay, Rng* rng,
   dm.train_steps.Add();
   dm.loss.Set(loss);
   dm.replay_size.Set(static_cast<double>(replay.size()));
+  dm.replay_bytes.Set(static_cast<double>(replay.stored_bytes()));
   return loss;
 }
 

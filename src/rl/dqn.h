@@ -195,7 +195,8 @@ class DqnAgent {
   /// With the Q-network's own training workspace, a step allocates nothing
   /// once the first one at its batch size has run.
   struct LearnerScratch {
-    std::vector<const Transition*> batch;
+    std::vector<size_t> batch;    // sampled replay rows
+    std::vector<double> state;    // one decoded state (state-action mode)
     std::vector<double> targets;  // state-action mode
     std::vector<int> heads;
     nn::Matrix x;             // the network input rows of either pass

@@ -4,11 +4,18 @@
 #include <cstdio>
 #include <ctime>
 #include <fstream>
+#include <thread>
 
 #include "util/table_printer.h"
 
 #ifndef LPA_GIT_DESCRIBE
 #define LPA_GIT_DESCRIBE "unknown"
+#endif
+#ifndef LPA_COMPILER
+#define LPA_COMPILER "unknown"
+#endif
+#ifndef LPA_BUILD_TYPE
+#define LPA_BUILD_TYPE "unknown"
 #endif
 
 namespace lpa::telemetry {
@@ -125,6 +132,9 @@ RunManifest RunManifest::Make(std::string tool_name) {
   RunManifest m;
   m.tool = std::move(tool_name);
   m.git_describe = LPA_GIT_DESCRIBE;
+  m.nproc = std::thread::hardware_concurrency();
+  m.compiler = LPA_COMPILER;
+  m.build_type = LPA_BUILD_TYPE;
   std::time_t now = std::time(nullptr);
   std::tm utc{};
   gmtime_r(&now, &utc);
@@ -152,6 +162,9 @@ void RunManifest::WriteJson(JsonWriter* w) const {
   w->Key("schema").String(schema);
   w->Key("git_describe").String(git_describe);
   w->Key("started_at").String(started_at);
+  w->Key("nproc").Number(nproc);
+  w->Key("compiler").String(compiler);
+  w->Key("build_type").String(build_type);
   for (const auto& kv : extra) w->Key(kv.first).String(kv.second);
   w->EndObject();
 }

@@ -52,10 +52,16 @@ struct RunManifest {
   std::string schema;          ///< e.g. "ssb"
   std::string git_describe;    ///< source revision (configure-time describe)
   std::string started_at;      ///< ISO-8601 UTC wall time of manifest creation
+  /// The host and the build: online CPUs when the manifest was made, the
+  /// compiler and its version, and the CMake build type.
+  uint64_t nproc = 0;
+  std::string compiler;        ///< e.g. "GNU 12.2.0"
+  std::string build_type;      ///< e.g. "Release"
   /// Free-form additions (bench scale, node count, ...), export-ordered.
   std::vector<std::pair<std::string, std::string>> extra;
 
-  /// \brief Stamp a manifest with the build's git-describe and current time.
+  /// \brief Stamp a manifest with the build's git-describe, compiler and
+  /// build type, the host's CPU count and the current time.
   static RunManifest Make(std::string tool_name);
 
   void Set(const std::string& key, const std::string& value);

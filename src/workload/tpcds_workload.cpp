@@ -52,7 +52,11 @@ Workload MakeTpcdsWorkload(const schema::Schema& s) {
   std::vector<QuerySpec> queries;
   int seq = 0;
   auto q = [&s, &seq]() {
-    return QueryBuilder(&s, "q" + std::to_string(++seq));
+    // Appended rather than `"q" + std::to_string(...)`: GCC 12 inlines the
+    // prepend into a memcpy it wrongly flags with -Wrestrict in Release.
+    std::string name = "q";
+    name += std::to_string(++seq);
+    return QueryBuilder(&s, std::move(name));
   };
 
   // --- Family 1: date x item brand/category reports (q3/q42/q52/q55/q12/q20

@@ -89,20 +89,20 @@ TEST(ReplayBufferTest, SampleAtExactCapacityBoundary) {
 
   Rng rng(42);
   // Sampling is with replacement, so counts beyond size are legal.
-  std::vector<const Transition*> sample = buffer.Sample(10, &rng);
+  std::vector<size_t> sample = buffer.Sample(10, &rng);
   ASSERT_EQ(sample.size(), 10u);
-  for (const Transition* t : sample) {
-    ASSERT_NE(t, nullptr);
-    EXPECT_GE(t->action_id, 0);
-    EXPECT_LT(t->action_id, 3);
+  for (size_t row : sample) {
+    ASSERT_LT(row, buffer.size());
+    EXPECT_GE(buffer.at(row).action_id, 0);
+    EXPECT_LT(buffer.at(row).action_id, 3);
   }
 
   // Seeded sampling is deterministic.
   Rng rng_a(7), rng_b(7);
-  std::vector<const Transition*> a = buffer.Sample(6, &rng_a);
-  std::vector<const Transition*> b = buffer.Sample(6, &rng_b);
+  std::vector<size_t> a = buffer.Sample(6, &rng_a);
+  std::vector<size_t> b = buffer.Sample(6, &rng_b);
   for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i]->action_id, b[i]->action_id);
+    EXPECT_EQ(buffer.at(a[i]).action_id, buffer.at(b[i]).action_id);
   }
 }
 

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
 #include "rl/offline_env.h"
 #include "rl/online_env.h"
 #include "schema/catalogs.h"
+#include "telemetry/registry.h"
 #include "workload/benchmarks.h"
 
 namespace lpa::rl {
@@ -60,9 +64,263 @@ TEST_F(SsbRlTest, ReplayBufferRingSemantics) {
   EXPECT_EQ(buffer.size(), 4u);
   Rng rng(1);
   auto sample = buffer.Sample(16, &rng);
-  for (const Transition* t : sample) {
-    EXPECT_GE(t->action_id, 2);  // 0 and 1 were evicted
+  for (size_t row : sample) {
+    EXPECT_GE(buffer.at(row).action_id, 2);  // 0 and 1 were evicted
   }
+}
+
+// ---------------------------------------------------------------------------
+// Compact replay storage: every stored row decodes bit for bit
+
+uint64_t BitsOf(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+double FromBits(uint64_t bits) {
+  double v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Row `row` of `buffer` holds exactly `want`, through at() and through the
+/// accessors the learner decodes with.
+void ExpectRow(const ReplayBuffer& buffer, size_t row, const Transition& want) {
+  const Transition got = buffer.at(row);
+  EXPECT_TRUE(SameBits(got.state_enc, want.state_enc)) << "row " << row;
+  EXPECT_TRUE(SameBits(got.next_enc, want.next_enc)) << "row " << row;
+  EXPECT_EQ(got.action_id, want.action_id) << "row " << row;
+  EXPECT_EQ(BitsOf(got.reward), BitsOf(want.reward)) << "row " << row;
+  EXPECT_EQ(got.next_legal, want.next_legal) << "row " << row;
+
+  EXPECT_EQ(buffer.action_id(row), want.action_id);
+  EXPECT_EQ(BitsOf(buffer.reward(row)), BitsOf(want.reward));
+  ASSERT_EQ(buffer.state_dim(row), want.state_enc.size());
+  ASSERT_EQ(buffer.next_dim(row), want.next_enc.size());
+  // Decoding into a dirty destination overwrites every entry.
+  const double garbage = FromBits(0x7ff80000deadbeefULL);
+  std::vector<double> decoded(want.state_enc.size(), garbage);
+  buffer.DecodeState(row, decoded.data());
+  EXPECT_TRUE(SameBits(decoded, want.state_enc)) << "row " << row;
+  decoded.assign(want.next_enc.size(), garbage);
+  buffer.DecodeNextState(row, decoded.data());
+  EXPECT_TRUE(SameBits(decoded, want.next_enc)) << "row " << row;
+  std::vector<int> legal;
+  buffer.ForEachNextLegal(row, [&legal](int a) { legal.push_back(a); });
+  EXPECT_EQ(legal, want.next_legal) << "row " << row;
+  EXPECT_EQ(buffer.next_legal_count(row), want.next_legal.size());
+}
+
+TEST(ReplayBufferCompactTest, SpecialValuesComeBackBitForBit) {
+  const double inf = std::numeric_limits<double>::infinity();
+  // Neither +0.0 nor +1.0, so all of these are stored by bit pattern.
+  const std::vector<double> special = {
+      -0.0,
+      -1.0,
+      inf,
+      -inf,
+      FromBits(0x7ff800000000c0deULL),  // quiet NaN with a payload
+      FromBits(0xfff8000000000001ULL),  // negative NaN
+      FromBits(0x7ff0000000000001ULL),  // signaling NaN pattern
+      FromBits(0x0000000000000005ULL),  // subnormal
+      0.375,
+  };
+  // 70 entries, so the ones bitset spans two words: a one-hot head in
+  // [0, 40), a one in [64, 70), +0.0 and +1.0 mixed into the tail, and the
+  // special values after them. The tail rotates from step 6 on, mid-episode.
+  auto encode = [&special](int step) {
+    std::vector<double> enc(70, 0.0);
+    enc[static_cast<size_t>(step % 40)] = 1.0;
+    enc[static_cast<size_t>(64 + step % 6)] = 1.0;
+    enc[45] = 1.0;
+    const size_t rotate = step < 6 ? 0 : 1;
+    for (size_t i = 0; i < special.size(); ++i) {
+      enc[50 + i] = special[(i + rotate) % special.size()];
+    }
+    return enc;
+  };
+  const std::vector<std::vector<int>> legal_lists = {
+      {0, 3, 64, 69},                // ascending: a bitset
+      {},                            // empty
+      {5, 2, 9},                     // unordered: verbatim
+      {4, 4},                        // duplicate: verbatim
+      {-1, 3},                       // negative: verbatim
+      {1'000'000},                   // ascending but sparse: verbatim
+      {0, 1, 2, 3, 4, 5, 6, 7, 8},   // dense: a bitset
+  };
+
+  ReplayBuffer buffer(64);
+  std::vector<Transition> added;
+  for (int t = 0; t < 12; ++t) {
+    Transition tr{encode(t), t,
+                  special[static_cast<size_t>(t) % special.size()],
+                  encode(t + 1),
+                  legal_lists[static_cast<size_t>(t) % legal_lists.size()]};
+    buffer.Add(tr);
+    added.push_back(std::move(tr));
+  }
+  // A state of another width, and one with a single entry.
+  added.push_back(Transition{{-0.0, 1.0, 0.0}, 7, 0.0, {FromBits(1)}, {2}});
+  buffer.Add(added.back());
+  ASSERT_EQ(buffer.size(), added.size());
+  for (size_t i = 0; i < added.size(); ++i) ExpectRow(buffer, i, added[i]);
+}
+
+/// Reference model: the plain ring of transitions the buffer replaced.
+class PlainRing {
+ public:
+  explicit PlainRing(size_t capacity) : capacity_(capacity) {}
+  void Add(Transition t) {
+    if (rows_.size() < capacity_) {
+      rows_.push_back(std::move(t));
+    } else {
+      rows_[next_] = std::move(t);
+      next_ = (next_ + 1) % capacity_;
+    }
+  }
+  size_t Sample(Rng* rng) const {
+    return static_cast<size_t>(
+        rng->UniformInt(0, static_cast<int64_t>(rows_.size()) - 1));
+  }
+  size_t size() const { return rows_.size(); }
+  const Transition& at(size_t i) const { return rows_[i]; }
+
+ private:
+  size_t capacity_;
+  size_t next_ = 0;
+  std::vector<Transition> rows_;
+};
+
+TEST_F(SsbRlTest, ReplayBufferMatchesPlainRingUnderInterleavedEpisodes) {
+  // Two walkers, each running 12-step episodes under its own frequency
+  // mix; their transitions merge in runs of 1-4 steps, as the actor/learner
+  // shards drain. Inside a run each s is the previous s' (shared); at a run
+  // boundary it is not.
+  struct Walker {
+    PartitioningState state;
+    std::vector<double> freqs;
+    std::vector<double> enc;
+    int step = 0;
+  };
+  auto transitions = [this](int count, uint64_t seed,
+                            std::vector<size_t>* walker_of = nullptr) {
+    Rng rng(seed);
+    std::vector<Walker> walkers(2, Walker{PartitioningState::Initial(
+                                              &schema_, &edges_),
+                                          {}, {}, 12});
+    std::vector<Transition> out;
+    size_t w = 0;
+    while (static_cast<int>(out.size()) < count) {
+      w = 1 - w;
+      const int run = static_cast<int>(rng.UniformInt(1, 4));
+      Walker& walker = walkers[w];
+      for (int r = 0; r < run && static_cast<int>(out.size()) < count; ++r) {
+        if (walker.step == 12) {
+          walker.state = PartitioningState::Initial(&schema_, &edges_);
+          walker.freqs = workload::SampleUniformFrequencies(
+              workload_.num_queries(), &rng);
+          walker.enc = featurizer_.EncodeState(walker.state, walker.freqs);
+          walker.step = 0;
+        }
+        const std::vector<int> legal = actions_.LegalActions(walker.state);
+        const int action = legal[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(legal.size()) - 1))];
+        EXPECT_TRUE(actions_.Apply(action, &walker.state).ok());
+        std::vector<double> next =
+            featurizer_.EncodeState(walker.state, walker.freqs);
+        out.push_back(Transition{walker.enc, action, rng.Uniform(-1.0, 1.0),
+                                 next, actions_.LegalActions(walker.state)});
+        if (walker_of != nullptr) walker_of->push_back(w);
+        walker.enc = std::move(next);
+        ++walker.step;
+      }
+    }
+    return out;
+  };
+
+  for (size_t capacity : {size_t{1}, size_t{7}, size_t{40}}) {
+    SCOPED_TRACE(capacity);
+    const std::vector<Transition> stream =
+        transitions(static_cast<int>(3 * capacity + 5), 100 + capacity);
+    PlainRing ring(capacity);
+    ReplayBuffer buffer(capacity);
+    Rng ring_rng(9), buffer_rng(9);
+    std::vector<size_t> rows;
+    for (const Transition& t : stream) {
+      ring.Add(t);
+      buffer.Add(t);
+      ASSERT_EQ(buffer.size(), ring.size());
+      buffer.Sample(4, &buffer_rng, &rows);
+      ASSERT_EQ(rows.size(), 4u);
+      for (size_t row : rows) {
+        const size_t want = ring.Sample(&ring_rng);
+        ASSERT_EQ(row, want);
+        ExpectRow(buffer, row, ring.at(want));
+      }
+    }
+    for (size_t i = 0; i < ring.size(); ++i) ExpectRow(buffer, i, ring.at(i));
+  }
+
+  // Without eviction, the same transitions take more room merged in runs
+  // than episode by episode: a run boundary stores s again.
+  std::vector<size_t> walker_of;
+  const std::vector<Transition> stream = transitions(96, 5, &walker_of);
+  ReplayBuffer merged(stream.size());
+  ReplayBuffer grouped(stream.size());
+  for (const Transition& t : stream) merged.Add(t);
+  for (size_t w : {size_t{0}, size_t{1}}) {
+    for (size_t i = 0; i < stream.size(); ++i) {
+      if (walker_of[i] == w) grouped.Add(stream[i]);
+    }
+  }
+  EXPECT_LT(grouped.stored_bytes(), merged.stored_bytes());
+}
+
+TEST(ReplayBufferCompactTest, TpcchEpisodeStoresUnderATenth) {
+  const schema::Schema schema = schema::MakeTpcchSchema();
+  const workload::Workload workload = workload::MakeTpcchWorkload(schema);
+  const EdgeSet edges = EdgeSet::Extract(schema, workload);
+  const ActionSpace actions(&schema, &edges);
+  const Featurizer featurizer(&schema, &edges, workload.num_queries());
+  ASSERT_EQ(featurizer.state_dim(), 76);
+
+  // One 36-step episode as EpisodeTrainer::Train builds it.
+  Rng rng(5);
+  const std::vector<double> freqs =
+      workload::SampleUniformFrequencies(workload.num_queries(), &rng);
+  PartitioningState state = PartitioningState::Initial(&schema, &edges);
+  std::vector<double> enc = featurizer.EncodeState(state, freqs);
+  ReplayBuffer buffer(10'000);
+  size_t plain_bytes = 0;
+  for (int t = 0; t < 36; ++t) {
+    const std::vector<int> legal = actions.LegalActions(state);
+    const int action = legal[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(legal.size()) - 1))];
+    ASSERT_TRUE(actions.Apply(action, &state).ok());
+    Transition tr{enc, action, rng.Uniform(-1.0, 1.0),
+                  featurizer.EncodeState(state, freqs),
+                  actions.LegalActions(state)};
+    plain_bytes += (tr.state_enc.size() + tr.next_enc.size()) * sizeof(double) +
+                   tr.next_legal.size() * sizeof(int);
+    buffer.Add(tr);
+    enc = tr.next_enc;
+  }
+  EXPECT_LE(buffer.stored_bytes() * 10, plain_bytes)
+      << buffer.stored_bytes() << " stored bytes for " << plain_bytes;
+
+  // A training step publishes the size beside the row count.
+  DqnAgent agent(&featurizer, &actions, DqnConfig{});
+  agent.TrainStepFrom(buffer, &rng);
+  auto& registry = telemetry::MetricsRegistry::Global();
+  EXPECT_EQ(registry.GetGauge("rl.replay_size.count").value(), 36.0);
+  EXPECT_EQ(registry.GetGauge("rl.replay_bytes.bytes").value(),
+            static_cast<double>(buffer.stored_bytes()));
 }
 
 TEST_F(SsbRlTest, EpsilonGreedySelection) {

@@ -320,6 +320,26 @@ TEST(ManifestTest, CarriesGitDescribeAndTimestamp) {
   EXPECT_EQ(m.extra[0].second, "v2");
 }
 
+TEST(ManifestTest, RecordsHostCompilerAndBuildType) {
+  RunManifest m = RunManifest::Make("tool");
+  EXPECT_GE(m.nproc, 1u);
+  EXPECT_FALSE(m.compiler.empty());
+  EXPECT_NE(m.compiler, "unknown");
+  EXPECT_FALSE(m.build_type.empty());
+  EXPECT_NE(m.build_type, "unknown");
+  MetricsRegistry reg;
+  const std::string json = reg.ToJson(m);
+  EXPECT_NE(json.find("\"nproc\":" + std::to_string(m.nproc)),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"compiler\":\"" + m.compiler + "\""),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"build_type\":\"" + m.build_type + "\""),
+            std::string::npos)
+      << json;
+}
+
 TEST(WriteJsonFileTest, RoundTripsThroughDisk) {
   MetricsRegistry reg;
   reg.GetCounter("file.count").Add(9);
