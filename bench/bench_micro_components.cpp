@@ -1,12 +1,14 @@
 // Component microbenchmarks (google-benchmark): throughput guardrails for
 // the library's hot paths — cost-model planning, the DP designer,
 // featurization, NN forward/train, engine execution, data generation and
-// sealing, warm per-step workload pricing — plus three kernels run after
-// the google benchmarks: a storage kernel measuring encode/decode throughput
-// and per-column compression (BENCH_storage.json), an engine kernel
-// measuring pool-parallel ExecuteWorkload scaling with bit-identity checks
-// plus the compressed-storage footprint (BENCH_engine.json), and the
-// actor/learner training kernel (BENCH_training.json).
+// sealing, warm per-step workload pricing — plus three kernels, each a
+// single-iteration benchmark that --benchmark_filter selects like any other
+// (BM_StorageKernel, BM_EngineKernel, BM_TrainingKernel): a storage kernel
+// measuring encode/decode throughput and per-column compression
+// (BENCH_storage.json), an engine kernel measuring pool-parallel
+// ExecuteWorkload scaling with bit-identity checks plus the
+// compressed-storage footprint (BENCH_engine.json), and the training kernel
+// (BENCH_training.json).
 
 #include <benchmark/benchmark.h>
 
@@ -861,14 +863,14 @@ void RunEngineKernel() {
 }
 
 // ---------------------------------------------------------------------------
-// Training kernel: the actor/learner pipeline at 1/2/8 threads.
+// Training kernel: the actor/learner rounds at 1/2/8 threads, and serial
+// Train.
 //
-// Fixed 8 actor slots; in deterministic mode the run digests — episode
-// rewards AND the final serialized agent weights — MUST be bit-identical at
-// every thread count (the slot count, never the thread count, fixes the
-// episode mapping, RNG streams, and shard-merge order). Also records the
-// fast (work-stealing) mode and the new training-throughput gauges. Emits
-// BENCH_training.json.
+// Fixed 8 actor slots; the run digests — episode rewards AND the final
+// serialized agent weights — MUST be bit-identical at every thread count
+// (the slot count, never the thread count, fixes the episode mapping, RNG
+// streams, and merge order). A serial Train row on the same 8-thread context
+// keeps the comparison between the two schedules. Emits BENCH_training.json.
 
 void RunTrainingKernel() {
   bench::BenchReport report("training");
@@ -883,13 +885,14 @@ void RunTrainingKernel() {
   report.Note("actor_slots", std::to_string(slots));
   report.Note("episodes", std::to_string(episodes));
   // The sweep reports steps/sec per thread count; what it asserts is that
-  // deterministic mode trains the same bits at every count.
+  // the rounds train the same bits at every count.
   report.Note("gates",
-              "deterministic-mode reward and weight digests asserted equal "
-              "at 1/2/8 threads");
+              "actor/learner reward and weight digests asserted equal at "
+              "1/2/8 threads");
 
-  auto train = [&](int threads, rl::ActorLearnerConfig::Mode mode,
-                   rl::TrainingResult* out, std::string* weights) {
+  // `actors` 0 runs serial Train.
+  auto train = [&](int threads, int actors, rl::TrainingResult* out,
+                   std::string* weights) {
     advisor::AdvisorConfig config;
     config.offline_episodes = episodes;
     config.dqn.tmax = 16;
@@ -898,11 +901,11 @@ void RunTrainingKernel() {
     advisor::PartitioningAdvisor advisor(tb.schema.get(), *tb.workload,
                                          config);
     EvalContext ctx(threads, 7);
-    rl::ActorLearnerConfig al;
-    al.num_actors = slots;
-    al.mode = mode;
     auto t0 = std::chrono::steady_clock::now();
-    *out = advisor.TrainOffline(tb.exact_model.get(), al, nullptr, &ctx);
+    *out = actors > 0 ? advisor.TrainOffline(tb.exact_model.get(), actors,
+                                             nullptr, &ctx)
+                      : advisor.TrainOffline(tb.exact_model.get(), nullptr,
+                                             &ctx);
     auto t1 = std::chrono::steady_clock::now();
     std::ostringstream os;
     LPA_CHECK(advisor::SaveAgentSnapshot(*advisor.agent(), os).ok());
@@ -914,55 +917,38 @@ void RunTrainingKernel() {
     os << std::hex << std::hash<std::string>{}(snapshot);
     return os.str();
   };
+  TablePrinter table({"threads", "schedule", "sec", "train steps",
+                      "steps/sec", "reward digest", "weight digest"});
+  auto add_row = [&](int threads, const std::string& schedule, double secs,
+                     const rl::TrainingResult& result,
+                     const std::string& rewards, const std::string& weights) {
+    table.AddRow({std::to_string(threads), schedule, FormatDouble(secs, 3),
+                  std::to_string(result.train_steps),
+                  FormatDouble(static_cast<double>(result.train_steps) / secs,
+                               1),
+                  rewards, weights});
+  };
 
-  TablePrinter table({"threads", "mode", "sec", "train steps", "steps/sec",
-                      "reward digest", "weight digest"});
   std::string base_rewards, base_weights;
-  double serial_secs = 0.0;
+  double rounds_secs = 0.0;
   for (int threads : {1, 2, 8}) {
     rl::TrainingResult result;
     std::string weights;
-    double secs = train(threads, rl::ActorLearnerConfig::Mode::kDeterministic,
-                        &result, &weights);
+    rounds_secs = train(threads, slots, &result, &weights);
     std::string rd = bench::RewardDigest(result.episode_best_rewards);
     std::string wd = weight_digest(weights);
     if (threads == 1) {
       base_rewards = rd;
       base_weights = wd;
-      serial_secs = secs;
-      report.Note("deterministic_serial_sec", FormatDouble(secs, 3));
+      report.Note("actor_learner_serial_sec", FormatDouble(rounds_secs, 3));
     }
     // The determinism contract: same slots, any thread count, same run.
     LPA_CHECK(rd == base_rewards);
     LPA_CHECK(wd == base_weights);
-    table.AddRow({std::to_string(threads), "deterministic",
-                  FormatDouble(secs, 3), std::to_string(result.train_steps),
-                  FormatDouble(static_cast<double>(result.train_steps) / secs,
-                               1),
-                  rd, wd});
+    add_row(threads, "actor/learner", rounds_secs, result, rd, wd);
   }
-  report.Note("deterministic_digests_identical", "true");
-  {
-    rl::TrainingResult result;
-    std::string weights;
-    double secs = train(8, rl::ActorLearnerConfig::Mode::kFast, &result,
-                        &weights);
-    table.AddRow({"8", "fast", FormatDouble(secs, 3),
-                  std::to_string(result.train_steps),
-                  FormatDouble(static_cast<double>(result.train_steps) / secs,
-                               1),
-                  bench::RewardDigest(result.episode_best_rewards),
-                  weight_digest(weights)});
-    report.Note("fast_mode_sec", FormatDouble(secs, 3));
-    report.Note("fast_vs_serial_speedup", FormatDouble(serial_secs / secs, 2));
-  }
-  report.Table(
-      "Actor/learner kernel: 8 slots at 1/2/8 threads (deterministic-mode "
-      "digests must be identical; fast mode has no digest contract)",
-      table);
-
-  // Training-throughput gauges + the replay-shard depth histogram, as left
-  // by the last run above.
+  report.Note("actor_learner_digests_identical", "true");
+  // Training-throughput gauges as the 8-thread rounds left them.
   auto& reg = telemetry::MetricsRegistry::Global();
   report.Note("rl_train_steps_per_sec",
               FormatDouble(
@@ -971,39 +957,37 @@ void RunTrainingKernel() {
               FormatDouble(reg.GetGauge("rl.actor_utilization.value").value(),
                            3));
   {
-    auto& depth = reg.GetHistogram(
-        "rl.replay_shard_depth",
-        {0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024});
-    TablePrinter shard({"bucket <=", "count"});
-    std::vector<uint64_t> counts = depth.bucket_counts();
-    for (size_t i = 0; i < depth.bounds().size(); ++i) {
-      if (counts[i] > 0) {
-        shard.AddRow({FormatDouble(depth.bounds()[i], 0),
-                      std::to_string(counts[i])});
-      }
-    }
-    if (counts.size() > depth.bounds().size() &&
-        counts[depth.bounds().size()] > 0) {
-      shard.AddRow({"inf", std::to_string(counts[depth.bounds().size()])});
-    }
-    report.Note("replay_shard_depth_observations",
-                std::to_string(depth.count()));
-    report.Note("replay_shard_depth_mean", FormatDouble(depth.mean(), 2));
-    report.Table("Replay shard depth at drain time (observations per shard "
-                 "per drain)",
-                 shard);
+    rl::TrainingResult result;
+    std::string weights;
+    double secs = train(8, 0, &result, &weights);
+    add_row(8, "serial Train", secs, result,
+            bench::RewardDigest(result.episode_best_rewards),
+            weight_digest(weights));
+    report.Note("serial_train_sec", FormatDouble(secs, 3));
+    report.Note("actor_learner_vs_train_speedup",
+                FormatDouble(secs / rounds_secs, 2));
   }
+  report.Table(
+      "Training kernel: actor/learner rounds of 8 slots at 1/2/8 threads "
+      "(digests must be identical) and serial Train at 8 threads",
+      table);
 }
+
+void BM_StorageKernel(benchmark::State& s) {
+  for (auto _ : s) RunStorageKernel();
+}
+BENCHMARK(BM_StorageKernel)->Iterations(1)->Unit(benchmark::kMillisecond);
+
+void BM_EngineKernel(benchmark::State& s) {
+  for (auto _ : s) RunEngineKernel();
+}
+BENCHMARK(BM_EngineKernel)->Iterations(1)->Unit(benchmark::kMillisecond);
+
+void BM_TrainingKernel(benchmark::State& s) {
+  for (auto _ : s) RunTrainingKernel();
+}
+BENCHMARK(BM_TrainingKernel)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace lpa
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  lpa::RunStorageKernel();
-  lpa::RunEngineKernel();
-  lpa::RunTrainingKernel();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -77,15 +77,14 @@ rl::TrainingResult PartitioningAdvisor::TrainOffline(
 }
 
 rl::TrainingResult PartitioningAdvisor::TrainOffline(
-    const costmodel::CostModel* model,
-    const rl::ActorLearnerConfig& actor_learner, rl::FrequencySampler sampler,
-    EvalContext* ctx) {
+    const costmodel::CostModel* model, int actors,
+    rl::FrequencySampler sampler, EvalContext* ctx) {
   telemetry::Span span("advisor.train_offline");
   offline_env_ = std::make_unique<rl::OfflineEnv>(model, &workload_);
   pruner_.reset();  // bound to the previous environment's cost function
   if (!sampler) sampler = DefaultSampler();
   return trainer_->TrainActorLearner(agent_.get(), offline_env_.get(), sampler,
-                                     config_.offline_episodes, actor_learner,
+                                     config_.offline_episodes, actors,
                                      ResolveCtx(ctx));
 }
 

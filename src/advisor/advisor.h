@@ -95,15 +95,13 @@ class PartitioningAdvisor {
                                   rl::FrequencySampler sampler = nullptr,
                                   EvalContext* ctx = nullptr);
 
-  /// \brief Phase 1 through the actor/learner pipeline
-  /// (rl::EpisodeTrainer::TrainActorLearner): `actor_learner.num_actors`
-  /// episode actors feed a sharded replay buffer while the learner runs the
-  /// SGD steps. In the default deterministic mode results are bit-identical
-  /// for a fixed actor count at any thread count — but they are a different
-  /// (equally valid) training run than the serial TrainOffline's, whose
-  /// step-interleaved digests stay untouched.
+  /// \brief Phase 1 through the actor/learner rounds
+  /// (rl::EpisodeTrainer::TrainActorLearner) with `actors` episode slots.
+  /// Results are bit-identical for a fixed slot count at any thread count,
+  /// but they are a different (equally valid) training run than the serial
+  /// TrainOffline's, which trains after every step.
   rl::TrainingResult TrainOffline(const costmodel::CostModel* model,
-                                  const rl::ActorLearnerConfig& actor_learner,
+                                  int actors,
                                   rl::FrequencySampler sampler = nullptr,
                                   EvalContext* ctx = nullptr);
 

@@ -65,11 +65,8 @@ Result<rl::TrainingResult> AdvisorHandle::Train(const TrainSpec& spec,
       }
       rl::TrainingResult result;
       if (spec.actors > 1) {
-        rl::ActorLearnerConfig al;
-        al.num_actors = spec.actors;
-        al.mode = spec.fast_actors ? rl::ActorLearnerConfig::Mode::kFast
-                                   : rl::ActorLearnerConfig::Mode::kDeterministic;
-        result = advisor_->TrainOffline(spec.cost_model, al, spec.sampler, ctx);
+        result = advisor_->TrainOffline(spec.cost_model, spec.actors,
+                                        spec.sampler, ctx);
       } else {
         result = advisor_->TrainOffline(spec.cost_model, spec.sampler, ctx);
       }

@@ -37,15 +37,12 @@ struct TrainSpec {
   /// Optional custom mix sampler for any phase (overrides the phase
   /// default: uniform mixes offline/online, boosted mixes incremental).
   rl::FrequencySampler sampler;
-  /// kOffline only: > 1 routes the run through the actor/learner pipeline
-  /// with this many episode-actor slots (rl::ActorLearnerConfig). The slot
-  /// count — not the thread count — fixes deterministic-mode digests.
+  /// kOffline only: > 1 routes the run through the actor/learner rounds
+  /// with this many episode slots (rl::EpisodeTrainer::TrainActorLearner).
+  /// The slot count — not the thread count — fixes the digests.
   /// Other phases reject actors > 1: online runtimes are measured one query
   /// at a time, and incremental runs continue the serial training loop.
   int actors = 1;
-  /// With actors > 1: trade the deterministic round barrier for
-  /// work-stealing throughput (ActorLearnerConfig::Mode::kFast).
-  bool fast_actors = false;
 
   static TrainSpec Offline(const costmodel::CostModel* model,
                            int episodes = -1) {

@@ -145,8 +145,7 @@ class Mlp {
   /// Buffers of the training step, reused across steps; each is resized in
   /// place and overwritten, never cleared. Forward, which several threads
   /// may run on one network at once, uses none of them. A copy of the
-  /// network starts with an empty workspace: copies such as DqnPolicy
-  /// snapshots only run Forward.
+  /// network starts with an empty workspace, sized again by its first step.
   struct Workspace {
     Workspace() = default;
     Workspace(const Workspace&) {}

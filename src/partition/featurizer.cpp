@@ -1,7 +1,5 @@
 #include "partition/featurizer.h"
 
-#include <algorithm>
-
 #include "util/logging.h"
 
 namespace lpa::partition {
@@ -22,7 +20,6 @@ Featurizer::Featurizer(const schema::Schema* schema, const EdgeSet* edges,
         candidate_slot_[static_cast<size_t>(t)][c] = slot++;
       }
     }
-    max_candidates_ = std::max(max_candidates_, slot);
     offset += 1 + slot;  // replicated bit + one bit per candidate column
   }
   edge_offset_ = offset;
@@ -30,7 +27,6 @@ Featurizer::Featurizer(const schema::Schema* schema, const EdgeSet* edges,
   freq_offset_ = offset;
   offset += num_query_slots_;
   state_dim_ = offset;
-  action_dim_ = 4 + schema->num_tables() + max_candidates_ + edges->size();
 }
 
 std::vector<double> Featurizer::EncodeState(
@@ -54,32 +50,6 @@ std::vector<double> Featurizer::EncodeState(
   for (size_t i = 0; i < frequencies.size(); ++i) {
     out[static_cast<size_t>(freq_offset_) + i] = frequencies[i];
   }
-  return out;
-}
-
-std::vector<double> Featurizer::EncodeAction(const Action& action) const {
-  std::vector<double> out(static_cast<size_t>(action_dim_), 0.0);
-  out[static_cast<size_t>(action.kind)] = 1.0;
-  int table_base = 4;
-  int column_base = table_base + schema_->num_tables();
-  int edge_base = column_base + max_candidates_;
-  if (action.table >= 0) out[static_cast<size_t>(table_base + action.table)] = 1.0;
-  if (action.column >= 0) {
-    int slot =
-        candidate_slot_[static_cast<size_t>(action.table)][static_cast<size_t>(action.column)];
-    LPA_CHECK(slot >= 0);
-    out[static_cast<size_t>(column_base + slot)] = 1.0;
-  }
-  if (action.edge >= 0) out[static_cast<size_t>(edge_base + action.edge)] = 1.0;
-  return out;
-}
-
-std::vector<double> Featurizer::EncodeStateAction(
-    const PartitioningState& state, const std::vector<double>& frequencies,
-    const Action& action) const {
-  std::vector<double> out = EncodeState(state, frequencies);
-  std::vector<double> a = EncodeAction(action);
-  out.insert(out.end(), a.begin(), a.end());
   return out;
 }
 

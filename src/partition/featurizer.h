@@ -2,12 +2,11 @@
 
 #include <vector>
 
-#include "partition/actions.h"
 #include "partition/partition_state.h"
 
 namespace lpa::partition {
 
-/// \brief Encodes partitioning states, workload mixes, and actions into the
+/// \brief Encodes partitioning states and workload mixes into the
 /// fixed-length binary / frequency vectors of Fig 2.
 ///
 /// State layout: per table `(r_i, a_i1 .. a_in)` over its *partitionable*
@@ -15,16 +14,12 @@ namespace lpa::partition {
 /// normalized query frequencies (`num_query_slots` entries — slots beyond
 /// the current query count stay 0 and are reserved for incremental training,
 /// Sec 5).
-///
-/// Action layout: kind one-hot (4) ++ table one-hot ++ candidate-column slot
-/// one-hot ++ edge one-hot.
 class Featurizer {
  public:
   Featurizer(const schema::Schema* schema, const EdgeSet* edges,
              int num_query_slots);
 
   int state_dim() const { return state_dim_; }
-  int action_dim() const { return action_dim_; }
   int num_query_slots() const { return num_query_slots_; }
 
   /// \brief Encode partitioning + edge bits + frequencies. `frequencies` may
@@ -32,26 +27,16 @@ class Featurizer {
   std::vector<double> EncodeState(const PartitioningState& state,
                                   const std::vector<double>& frequencies) const;
 
-  /// \brief Encode one action.
-  std::vector<double> EncodeAction(const Action& action) const;
-
-  /// \brief Concatenated state-action encoding (the paper's Q(s,a) input).
-  std::vector<double> EncodeStateAction(const PartitioningState& state,
-                                        const std::vector<double>& frequencies,
-                                        const Action& action) const;
-
  private:
   const schema::Schema* schema_;
   const EdgeSet* edges_;
   int num_query_slots_;
   int state_dim_ = 0;
-  int action_dim_ = 0;
   /// Offset of each table's section in the state vector.
   std::vector<int> table_offset_;
   /// Per (table, column): slot of the column among the table's partitionable
   /// columns, or -1.
   std::vector<std::vector<int>> candidate_slot_;
-  int max_candidates_ = 0;
   int edge_offset_ = 0;
   int freq_offset_ = 0;
 };

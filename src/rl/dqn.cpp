@@ -28,70 +28,6 @@ struct DqnMetrics {
 
 }  // namespace
 
-namespace {
-
-/// Q-values of `legal` at `state_enc` under network `q`; `action_enc` holds
-/// the action encodings in state-action mode and is null in multi-head mode.
-/// DqnAgent and its frozen DqnPolicy copies both select through here.
-std::vector<double> LegalQValues(const nn::Mlp& q,
-                                 const nn::Matrix* action_enc,
-                                 const std::vector<double>& state_enc,
-                                 const std::vector<int>& legal) {
-  std::vector<double> values(legal.size());
-  if (action_enc == nullptr) {
-    auto all = q.Forward(state_enc);
-    for (size_t i = 0; i < legal.size(); ++i) {
-      values[i] = all[static_cast<size_t>(legal[i])];
-    }
-    return values;
-  }
-  nn::Matrix batch(legal.size(), state_enc.size() + action_enc->cols());
-  for (size_t i = 0; i < legal.size(); ++i) {
-    double* dst = batch.row(i);
-    std::copy(state_enc.begin(), state_enc.end(), dst);
-    const double* a = action_enc->row(static_cast<size_t>(legal[i]));
-    std::copy(a, a + action_enc->cols(), dst + state_enc.size());
-  }
-  nn::Matrix out = q.Forward(batch);
-  for (size_t i = 0; i < legal.size(); ++i) values[i] = out.at(i, 0);
-  return values;
-}
-
-/// The entry of `legal` with the largest Q-value, ties going to the
-/// earliest entry (first max).
-int GreedyLegalAction(const nn::Mlp& q, const nn::Matrix* action_enc,
-                      const std::vector<double>& state_enc,
-                      const std::vector<int>& legal) {
-  std::vector<double> values = LegalQValues(q, action_enc, state_enc, legal);
-  size_t best = 0;
-  for (size_t i = 1; i < legal.size(); ++i) {
-    if (values[i] > values[best]) best = i;
-  }
-  return legal[best];
-}
-
-/// ε-greedy choice: draws rng->Uniform() first, then UniformInt only when
-/// exploring.
-int EpsilonGreedyAction(const nn::Mlp& q, const nn::Matrix* action_enc,
-                        const std::vector<double>& state_enc,
-                        const std::vector<int>& legal, double epsilon,
-                        Rng* rng) {
-  LPA_CHECK(!legal.empty());
-  if (rng->Uniform() < epsilon) {
-    return legal[static_cast<size_t>(
-        rng->UniformInt(0, static_cast<int64_t>(legal.size()) - 1))];
-  }
-  return GreedyLegalAction(q, action_enc, state_enc, legal);
-}
-
-}  // namespace
-
-int DqnPolicy::SelectAction(const std::vector<double>& state_enc,
-                            const std::vector<int>& legal, double epsilon,
-                            Rng* rng) const {
-  return EpsilonGreedyAction(q_, action_enc_, state_enc, legal, epsilon, rng);
-}
-
 DqnAgent::DqnAgent(const partition::Featurizer* featurizer,
                    const partition::ActionSpace* actions, DqnConfig config)
     : featurizer_(featurizer),
@@ -100,63 +36,45 @@ DqnAgent::DqnAgent(const partition::Featurizer* featurizer,
       replay_(static_cast<size_t>(config_.replay_capacity)),
       epsilon_(config_.epsilon_start) {
   nn::MlpConfig net;
-  net.input_dim = InputDim();
+  net.input_dim = featurizer_->state_dim();
   net.hidden = config_.hidden;
-  net.output_dim =
-      config_.mode == QNetworkMode::kMultiHead ? actions_->size() : 1;
+  net.output_dim = actions_->size();
   net.seed = config_.seed;
   q_ = std::make_unique<nn::Mlp>(net);
   net.seed = config_.seed + 1;  // "randomly initialize target network"
   target_ = std::make_unique<nn::Mlp>(net);
-  if (config_.mode == QNetworkMode::kStateActionInput) {
-    action_enc_ = nn::Matrix(static_cast<size_t>(actions_->size()),
-                             static_cast<size_t>(featurizer_->action_dim()));
-    for (int a = 0; a < actions_->size(); ++a) {
-      auto enc = featurizer_->EncodeAction(actions_->action(a));
-      std::copy(enc.begin(), enc.end(),
-                action_enc_.row(static_cast<size_t>(a)));
-    }
-  }
-}
-
-int DqnAgent::InputDim() const {
-  int dim = featurizer_->state_dim();
-  if (config_.mode == QNetworkMode::kStateActionInput) {
-    dim += featurizer_->action_dim();
-  }
-  return dim;
-}
-
-void DqnAgent::FillStateAction(const std::vector<double>& state_enc,
-                               int action_id, double* dst) const {
-  std::copy(state_enc.begin(), state_enc.end(), dst);
-  const double* a = action_enc_.row(static_cast<size_t>(action_id));
-  std::copy(a, a + action_enc_.cols(), dst + state_enc.size());
-}
-
-const nn::Matrix* DqnAgent::ActionEncodings() const {
-  return config_.mode == QNetworkMode::kStateActionInput ? &action_enc_
-                                                         : nullptr;
 }
 
 std::vector<double> DqnAgent::QValues(const std::vector<double>& state_enc,
                                       const std::vector<int>& legal) const {
-  return LegalQValues(*q_, ActionEncodings(), state_enc, legal);
+  std::vector<double> all = q_->Forward(state_enc);
+  std::vector<double> values(legal.size());
+  for (size_t i = 0; i < legal.size(); ++i) {
+    values[i] = all[static_cast<size_t>(legal[i])];
+  }
+  return values;
 }
 
 int DqnAgent::SelectAction(const std::vector<double>& state_enc,
-                           const std::vector<int>& legal, Rng* rng) const {
-  return EpsilonGreedyAction(*q_, ActionEncodings(), state_enc, legal,
-                             epsilon_, rng);
+                           const std::vector<int>& legal, double epsilon,
+                           Rng* rng) const {
+  LPA_CHECK(!legal.empty());
+  if (rng->Uniform() < epsilon) {
+    return legal[static_cast<size_t>(
+        rng->UniformInt(0, static_cast<int64_t>(legal.size()) - 1))];
+  }
+  return GreedyAction(state_enc, legal);
 }
 
 int DqnAgent::GreedyAction(const std::vector<double>& state_enc,
                            const std::vector<int>& legal) const {
-  return GreedyLegalAction(*q_, ActionEncodings(), state_enc, legal);
-}
-
-DqnPolicy DqnAgent::SnapshotPolicy() const {
-  return DqnPolicy(*q_, ActionEncodings());
+  // First max: ties go to the earliest legal entry.
+  std::vector<double> values = QValues(state_enc, legal);
+  size_t best = 0;
+  for (size_t i = 1; i < legal.size(); ++i) {
+    if (values[i] > values[best]) best = i;
+  }
+  return legal[best];
 }
 
 void DqnAgent::DecayEpsilon() {
@@ -181,72 +99,34 @@ double DqnAgent::TrainStepFrom(const ReplayBuffer& replay, Rng* rng,
               replay.next_dim(row) == state_dim);
   }
 
-  // The soft target update rides in the Q-network's parameter pass.
-  const nn::SoftTarget soft{target_.get(), config_.tau};
-  double loss = 0.0;
-  if (config_.mode == QNetworkMode::kMultiHead) {
-    // TD targets r + gamma * max_a' Q_target(s', a'), from the target
-    // network's pass over the next states, which the Q-network's step runs
-    // next to its own forward pass. The sampled rows decode straight into
-    // the batch matrices.
-    ls.next_x.Resize(batch.size(), state_dim);
-    ls.x.Resize(batch.size(), state_dim);
-    ls.heads.resize(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      replay.DecodeNextState(batch[i], ls.next_x.row(i));
-      replay.DecodeState(batch[i], ls.x.row(i));
-      ls.heads[i] = replay.action_id(batch[i]);
-    }
-    const double gamma = config_.gamma;
-    const nn::ForwardTargets targets{
-        target_.get(), &ls.next_x,
-        [&replay, &batch, gamma](const nn::Matrix& next_q,
-                                 std::vector<double>* y) {
-          for (size_t i = 0; i < batch.size(); ++i) {
-            double best = -1e30;
-            replay.ForEachNextLegal(batch[i], [&](int a) {
-              best = std::max(best, next_q.at(i, static_cast<size_t>(a)));
-            });
-            (*y)[i] = replay.reward(batch[i]) + gamma * best;
-          }
-        }};
-    loss = q_->TrainMaskedMse(ls.x, ls.heads, targets, config_.learning_rate,
-                              pool, soft);
-  } else {
-    // Stack every transition's legal next-actions into ONE GEMM instead of a
-    // forward pass per transition. Row r of the stacked output is
-    // bit-identical to the per-transition forward (the GEMM accumulates each
-    // row independently in a fixed order), so the targets are unchanged.
-    ls.targets.resize(batch.size());
-    ls.state.resize(state_dim);
-    size_t stacked = 0;
-    for (size_t row : batch) stacked += replay.next_legal_count(row);
-    ls.x.Resize(stacked, static_cast<size_t>(InputDim()));
-    size_t r = 0;
-    for (size_t row : batch) {
-      replay.DecodeNextState(row, ls.state.data());
-      replay.ForEachNextLegal(row, [&](int a) {
-        FillStateAction(ls.state, a, ls.x.row(r++));
-      });
-    }
-    const nn::Matrix& out = target_->Forward(ls.x, &ls.fwd_a, &ls.fwd_b, pool);
-    r = 0;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      double best = -1e30;
-      for (size_t j = 0; j < replay.next_legal_count(batch[i]); ++j) {
-        best = std::max(best, out.at(r++, 0));
-      }
-      ls.targets[i] = replay.reward(batch[i]) + config_.gamma * best;
-    }
-    ls.x.Resize(batch.size(), static_cast<size_t>(InputDim()));
-    ls.y.Resize(batch.size(), 1);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      replay.DecodeState(batch[i], ls.state.data());
-      FillStateAction(ls.state, replay.action_id(batch[i]), ls.x.row(i));
-      ls.y.at(i, 0) = ls.targets[i];
-    }
-    loss = q_->TrainMse(ls.x, ls.y, config_.learning_rate, pool, soft);
+  // TD targets r + gamma * max_a' Q_target(s', a'), from the target
+  // network's pass over the next states, which the Q-network's step runs next
+  // to its own forward pass. The sampled rows decode straight into the batch
+  // matrices; the soft target update rides in the Q-network's parameter pass.
+  ls.next_x.Resize(batch.size(), state_dim);
+  ls.x.Resize(batch.size(), state_dim);
+  ls.heads.resize(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    replay.DecodeNextState(batch[i], ls.next_x.row(i));
+    replay.DecodeState(batch[i], ls.x.row(i));
+    ls.heads[i] = replay.action_id(batch[i]);
   }
+  const double gamma = config_.gamma;
+  const nn::ForwardTargets targets{
+      target_.get(), &ls.next_x,
+      [&replay, &batch, gamma](const nn::Matrix& next_q,
+                               std::vector<double>* y) {
+        for (size_t i = 0; i < batch.size(); ++i) {
+          double best = -1e30;
+          replay.ForEachNextLegal(batch[i], [&](int a) {
+            best = std::max(best, next_q.at(i, static_cast<size_t>(a)));
+          });
+          (*y)[i] = replay.reward(batch[i]) + gamma * best;
+        }
+      }};
+  const double loss =
+      q_->TrainMaskedMse(ls.x, ls.heads, targets, config_.learning_rate, pool,
+                         nn::SoftTarget{target_.get(), config_.tau});
   auto& dm = DqnMetrics::Get();
   dm.train_steps.Add();
   dm.loss.Set(loss);
@@ -281,7 +161,7 @@ Status DqnAgent::LoadAfterMagic(std::istream& is) {
   if (!q.ok()) return q.status();
   auto target = nn::Mlp::Load(is);
   if (!target.ok()) return target.status();
-  if (q->input_dim() != InputDim() ||
+  if (q->input_dim() != featurizer_->state_dim() ||
       q->output_dim() != q_->output_dim()) {
     return Status::FailedPrecondition(
         "snapshot shape does not match this agent's featurizer/action space");
@@ -302,8 +182,7 @@ void DqnAgent::ExtendStateInputs(int extra,
   LPA_CHECK(extra >= 0);
   LPA_CHECK(new_featurizer->state_dim() == featurizer_->state_dim() + extra);
   // The grown inputs are appended at the tail, which is where the featurizer
-  // puts frequency slots; the state-action layout would shift instead.
-  LPA_CHECK(config_.mode == QNetworkMode::kMultiHead);
+  // puts frequency slots.
   *q_ = q_->WithExtendedInput(extra);
   *target_ = target_->WithExtendedInput(extra);
   featurizer_ = new_featurizer;

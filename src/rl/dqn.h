@@ -12,18 +12,6 @@
 
 namespace lpa::rl {
 
-/// \brief How the Q-function consumes actions.
-enum class QNetworkMode {
-  /// One output head per (global) action id; one forward pass scores every
-  /// action of a state. Mathematically the same function family as the
-  /// paper's formulation but far cheaper to train; the repo default.
-  kMultiHead,
-  /// The paper's Fig 2 formulation: the network takes the concatenated
-  /// state-action encoding and emits a single Q-value. Kept for fidelity and
-  /// for the ablation bench.
-  kStateActionInput,
-};
-
 /// \brief DQN hyperparameters; defaults reproduce the paper's Table 1.
 struct DqnConfig {
   double learning_rate = 5e-4;
@@ -37,7 +25,6 @@ struct DqnConfig {
   int episodes = 600;            ///< 600 for SSB, 1200 for TPC-DS / TPC-CH
   double gamma = 0.99;           ///< reward discount
   std::vector<int> hidden = {128, 64};
-  QNetworkMode mode = QNetworkMode::kMultiHead;
   uint64_t seed = 42;
 
   /// \brief The exact Table 1 configuration.
@@ -54,42 +41,15 @@ struct DqnConfig {
   }
 };
 
-// Transition and ReplayBuffer historically lived here; they moved to
-// rl/replay.h with the sharded actor/learner replay and are re-exported by
-// the include above.
-
-/// \brief Immutable frozen copy of an agent's online Q-network.
-///
-/// Episode actors act against a DqnPolicy instead of the live agent: the
-/// snapshot is taken once (per round in deterministic mode, per publish
-/// interval in fast mode), so the learner can keep writing weights without
-/// ever racing an actor's forward pass. Selection runs the same code as
-/// DqnAgent's — ε ordering, first-max tie-break — so it matches bit for bit.
-class DqnPolicy {
- public:
-  /// \brief ε-greedy choice among `legal`; draws rng->Uniform() first (the
-  /// exact draw order of DqnAgent::SelectAction).
-  int SelectAction(const std::vector<double>& state_enc,
-                   const std::vector<int>& legal, double epsilon,
-                   Rng* rng) const;
-
- private:
-  friend class DqnAgent;
-  DqnPolicy(nn::Mlp q, const nn::Matrix* action_enc)
-      : q_(std::move(q)), action_enc_(action_enc) {}
-
-  nn::Mlp q_;
-  /// Borrowed from the owning agent; the action space is static, so the
-  /// matrix never changes after agent construction. Null in multi-head mode.
-  const nn::Matrix* action_enc_;
-};
-
 /// \brief Deep-Q agent over the partitioning action space (Sec 3).
 ///
 /// Owns the online Q-network and the target network; exposes ε-greedy action
 /// selection and the SGD update of Algorithm 1 (line 10-11 + soft target
-/// update). The agent is schema-agnostic: states and actions arrive through
-/// the Featurizer / ActionSpace it is constructed with.
+/// update). The Q-network has one output head per (global) action id, so one
+/// forward pass scores every action of a state: the same function family as
+/// the paper's Fig 2 state-action input, far cheaper to train. The agent is
+/// schema-agnostic: states and actions arrive through the Featurizer /
+/// ActionSpace it is constructed with.
 class DqnAgent {
  public:
   DqnAgent(const partition::Featurizer* featurizer,
@@ -105,17 +65,16 @@ class DqnAgent {
   std::vector<double> QValues(const std::vector<double>& state_enc,
                               const std::vector<int>& legal) const;
 
-  /// \brief ε-greedy action choice among `legal` (Algorithm 1 line 6).
+  /// \brief ε-greedy action choice among `legal` (Algorithm 1 line 6): draws
+  /// rng->Uniform() first, then UniformInt only when exploring; otherwise
+  /// the first legal action of largest Q-value. Only reads the network, so
+  /// several threads may select at once while no weight is written.
   int SelectAction(const std::vector<double>& state_enc,
-                   const std::vector<int>& legal, Rng* rng) const;
-
-  /// \brief Frozen copy of the online network for lock-free actor inference
-  /// (see DqnPolicy). Cheap relative to an episode: one Mlp copy.
-  DqnPolicy SnapshotPolicy() const;
+                   const std::vector<int>& legal, double epsilon,
+                   Rng* rng) const;
 
   /// \brief The online Q-network (read-only; e.g. the weight digests of
-  /// the learner tests). In multi-head mode its output row is indexed by
-  /// global action id.
+  /// the learner tests). Its output row is indexed by global action id.
   const nn::Mlp& q_network() const { return *q_; }
   /// \brief The target network that TD targets are read from (read-only).
   const nn::Mlp& target_network() const { return *target_; }
@@ -134,15 +93,11 @@ class DqnAgent {
   double TrainStep(Rng* rng, ThreadPool* pool = nullptr);
 
   /// \brief TrainStep against an external replay buffer — the actor/learner
-  /// pipeline's entry point, where the learner owns the merged buffer
-  /// instead of the agent. Same no-op-until-full-batch rule; the TD targets
-  /// of the whole minibatch are evaluated as one matrix pass in both network
-  /// modes: in multi-head mode the target network's pass over the next
-  /// states runs beside the Q-network's own forward pass
-  /// (nn::ForwardTargets); state-action mode stacks every transition's legal
-  /// next-actions into a single GEMM instead of one forward per transition
-  /// (row values are bit-identical either way, the GEMM computes rows
-  /// independently in a fixed accumulation order).
+  /// rounds' entry point, where the learner owns the merged buffer instead
+  /// of the agent. Same no-op-until-full-batch rule; the TD targets of the
+  /// whole minibatch come from one target-network pass over the next
+  /// states, run beside the Q-network's own forward pass
+  /// (nn::ForwardTargets).
   double TrainStepFrom(const ReplayBuffer& replay, Rng* rng,
                        ThreadPool* pool = nullptr);
 
@@ -170,17 +125,6 @@ class DqnAgent {
   Status LoadAfterMagic(std::istream& is);
 
  private:
-  int InputDim() const;
-  /// The action-encoding matrix in state-action mode; null in multi-head.
-  const nn::Matrix* ActionEncodings() const;
-  /// Write the concatenated (state, action) encoding for state-action mode
-  /// into `dst` (one batch-matrix row of InputDim() doubles). The action
-  /// half copies straight out of the precomputed `action_enc_` row — the
-  /// action space is static, so encodings are computed once at construction
-  /// instead of allocating a fresh vector per legal action per step.
-  void FillStateAction(const std::vector<double>& state_enc, int action_id,
-                       double* dst) const;
-
   const partition::Featurizer* featurizer_;
   const partition::ActionSpace* actions_;
   DqnConfig config_;
@@ -188,21 +132,15 @@ class DqnAgent {
   std::unique_ptr<nn::Mlp> target_;
   ReplayBuffer replay_;
   double epsilon_;
-  /// Row a = EncodeAction(action a); built only for kStateActionInput.
-  nn::Matrix action_enc_;
 
   /// Buffers of TrainStepFrom, resized in place and reused across steps.
   /// With the Q-network's own training workspace, a step allocates nothing
   /// once the first one at its batch size has run.
   struct LearnerScratch {
-    std::vector<size_t> batch;    // sampled replay rows
-    std::vector<double> state;    // one decoded state (state-action mode)
-    std::vector<double> targets;  // state-action mode
+    std::vector<size_t> batch;  // sampled replay rows
     std::vector<int> heads;
-    nn::Matrix x;             // the network input rows of either pass
-    nn::Matrix next_x;        // next states (multi-head mode)
-    nn::Matrix y;             // TD targets as a column (state-action mode)
-    nn::Matrix fwd_a, fwd_b;  // the target network's pass (state-action)
+    nn::Matrix x;       // states
+    nn::Matrix next_x;  // next states
   };
   LearnerScratch scratch_;
 };

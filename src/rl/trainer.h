@@ -29,34 +29,8 @@ struct TrainingResult {
   /// Total environment evaluations.
   size_t steps = 0;
   /// Learner SGD steps actually executed (0 until the replay buffer holds a
-  /// full minibatch). Filled by TrainActorLearner; the serial Train loop
-  /// reports it through the rl.train_steps.count telemetry counter instead.
+  /// full minibatch), by either training schedule.
   size_t train_steps = 0;
-};
-
-/// \brief Configuration of the actor/learner training pipeline
-/// (EpisodeTrainer::TrainActorLearner).
-struct ActorLearnerConfig {
-  /// Logical episode-actor slots. The slot count — never the thread count —
-  /// fixes the episode→actor mapping, the per-slot RNG streams, and the
-  /// shard-merge order, so deterministic-mode digests depend only on this
-  /// number: 8 slots on 1 thread and 8 slots on 8 threads are bit-identical.
-  int num_actors = 4;
-
-  enum class Mode {
-    /// Synchronous rounds: up to `num_actors` episodes run against a frozen
-    /// policy snapshot, a barrier, then the learner merges the shards in
-    /// slot order and trains. Seeded results are bit-identical at every
-    /// thread count (the PR 2-4 discipline). The default.
-    kDeterministic,
-    /// Work-stealing: actors claim episode indices from a shared counter and
-    /// stream transitions while the learner trains concurrently, publishing
-    /// fresh policy snapshots every 64 SGD steps. No merge barrier, best
-    /// wall-clock — but episode→actor assignment depends on timing, so
-    /// digests are NOT stable across runs or thread counts.
-    kFast,
-  };
-  Mode mode = Mode::kDeterministic;
 };
 
 /// \brief Result of the greedy inference rollout (Sec 6).
@@ -98,7 +72,7 @@ struct InferenceOptions {
 /// stream, and the metrics sink. Every state is priced by
 /// `PartitioningEnv::WorkloadCost`. With `ctx->pool()` set and an environment
 /// that `SupportsParallelEval()`, the reward normalizer fans out over queries,
-/// the learner and the actor slots use the pool, and the extra inference
+/// the learner and a round's actor slots use the pool, and the extra inference
 /// rollouts run concurrently — each rollout on its own forked sub-RNG derived
 /// from a single master draw, with results merged in rollout-index order, so
 /// a seeded run is bit-identical at every thread count. A single step on such
@@ -111,34 +85,35 @@ class EpisodeTrainer {
                  const partition::Featurizer* featurizer);
 
   /// \brief Train `agent` for `episodes` episodes of `agent->config().tmax`
-  /// steps each. Rewards are `1 - cost/normalization`, an affine (and thus
+  /// steps each, one SGD step after every environment step (Algorithm 1).
+  /// Rewards are `1 - cost/normalization`, an affine (and thus
   /// policy-preserving) transform of the paper's negative-cost reward.
-  /// `ctx` must be non-null; episode sampling and ε-greedy exploration draw
-  /// from `ctx->rng()`.
+  /// `ctx` must be non-null; episode sampling, ε-greedy exploration and the
+  /// minibatch draws use `ctx->rng()`.
   TrainingResult Train(DqnAgent* agent, PartitioningEnv* env,
                        const FrequencySampler& sampler, int episodes,
                        EvalContext* ctx) const;
 
-  /// \brief Actor/learner variant of Train (defined in actor_learner.cpp):
-  /// `config.num_actors` episode actors — each with a forked RNG stream,
-  /// pricing through the shared environment — generate transitions into a
-  /// sharded replay buffer (one lock-free SPSC shard per actor slot) while
-  /// the learner drains the shards into the central buffer and runs
-  /// minibatch SGD with stacked-GEMM target evaluation.
+  /// \brief Actor/learner variant of Train, in synchronous rounds. A round
+  /// runs up to `num_actors` episodes, one per slot (slot s takes episode
+  /// e0+s), each on its slot's forked RNG stream against the weights the
+  /// round started with; every slot keeps its episode's transitions. Once
+  /// all slots are done, their transitions are appended to the learner's
+  /// replay in slot order and the learner runs one SGD step per transition.
   ///
   /// Episode e draws ε from the episode-indexed schedule
   /// max(ε₀·decay^e, ε_min) (ε₀ = the agent's ε on entry), so exploration is
-  /// independent of which actor runs the episode. In deterministic mode the
-  /// result — episode rewards AND final weights — is bit-identical for a
-  /// fixed `num_actors` at any thread count; it intentionally differs from
-  /// the serial Train's interleaving (one pipeline round trains after a full
-  /// round of episodes, the serial loop trains after every step). Actors run
-  /// concurrently only when the environment `SupportsParallelEval()`;
-  /// otherwise the slots execute sequentially with identical digests.
+  /// independent of which thread runs the episode. The slot count — never
+  /// the thread count — fixes the episode→slot mapping, the RNG streams and
+  /// the merge order, so the result (episode rewards and final weights) is
+  /// bit-identical for a fixed `num_actors` at any thread count. It differs
+  /// from Train's interleaving (a round trains after a full round of
+  /// episodes, Train after every step). Slots run concurrently only when the
+  /// environment `SupportsParallelEval()`; otherwise they run one after
+  /// another with identical digests.
   TrainingResult TrainActorLearner(DqnAgent* agent, PartitioningEnv* env,
                                    const FrequencySampler& sampler,
-                                   int episodes,
-                                   const ActorLearnerConfig& config,
+                                   int episodes, int num_actors,
                                    EvalContext* ctx) const;
 
   /// \brief Inference (Sec 6): a greedy rollout from s0 that returns the

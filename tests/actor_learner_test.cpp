@@ -1,19 +1,13 @@
-// Tests for the actor/learner training pipeline (PR 9):
+// Tests for the actor/learner training rounds:
 //  - ReplayBuffer ring eviction and sampling at capacity boundaries.
-//  - ReplayShard SPSC push/pop semantics.
-//  - ShardedReplayBuffer deterministic merge order (exact transition
-//    sequences at 1/2/8 shards).
-//  - TrainActorLearner deterministic-mode digests (episode rewards and
-//    final weights) bit-identical at 1/2/8 threads for a fixed slot count.
-//  - Fast mode end-to-end completion.
+//  - TrainActorLearner digests (episode rewards and final weights)
+//    bit-identical at 1/2/8 threads for a fixed slot count.
 //  - AdvisorHandle TrainSpec actor-count routing and validation.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "advisor/advisor.h"
@@ -107,105 +101,6 @@ TEST(ReplayBufferTest, SampleAtExactCapacityBoundary) {
 }
 
 // ---------------------------------------------------------------------------
-// ReplayShard: SPSC ring semantics
-
-TEST(ReplayShardTest, TryPushFailsWhenFullTryPopFailsWhenEmpty) {
-  ReplayShard shard(2);
-  Transition out;
-  EXPECT_FALSE(shard.TryPop(&out));
-  EXPECT_EQ(shard.size(), 0u);
-
-  EXPECT_TRUE(shard.TryPush(MakeTransition(0)));
-  EXPECT_TRUE(shard.TryPush(MakeTransition(1)));
-  EXPECT_FALSE(shard.TryPush(MakeTransition(2)));  // full
-  EXPECT_EQ(shard.size(), 2u);
-
-  ASSERT_TRUE(shard.TryPop(&out));
-  EXPECT_EQ(out.action_id, 0);  // FIFO
-  EXPECT_TRUE(shard.TryPush(MakeTransition(2)));  // space freed
-  ASSERT_TRUE(shard.TryPop(&out));
-  EXPECT_EQ(out.action_id, 1);
-  ASSERT_TRUE(shard.TryPop(&out));
-  EXPECT_EQ(out.action_id, 2);
-  EXPECT_FALSE(shard.TryPop(&out));
-}
-
-TEST(ReplayShardTest, ConcurrentProducerConsumerPreservesFifo) {
-  ReplayShard shard(4);  // deliberately tiny: Push must wait on the consumer
-  constexpr int kCount = 200;
-  std::thread producer([&shard] {
-    for (int i = 0; i < kCount; ++i) shard.Push(MakeTransition(i));
-  });
-  std::vector<int> seen;
-  Transition out;
-  while (static_cast<int>(seen.size()) < kCount) {
-    if (shard.TryPop(&out)) {
-      seen.push_back(out.action_id);
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  producer.join();
-  for (int i = 0; i < kCount; ++i) EXPECT_EQ(seen[static_cast<size_t>(i)], i);
-  EXPECT_FALSE(shard.TryPop(&out));
-}
-
-// ---------------------------------------------------------------------------
-// ShardedReplayBuffer: deterministic merge order
-
-// Pushes `per_shard` transitions into each of `num_shards` shards with
-// globally unique action ids, drains, and returns the merged id sequence.
-std::vector<int> MergedSequence(int num_shards, int per_shard) {
-  ShardedReplayBuffer shards(num_shards, static_cast<size_t>(per_shard));
-  // Push in deliberately interleaved (round-robin) order to prove the merge
-  // order comes from the slot index, not the push order.
-  for (int t = 0; t < per_shard; ++t) {
-    for (int s = 0; s < num_shards; ++s) {
-      shards.Push(s, MakeTransition(s * 100 + t));
-    }
-  }
-  std::vector<int> merged;
-  size_t drained = shards.DrainOrdered(
-      [&merged](Transition&& t) { merged.push_back(t.action_id); });
-  EXPECT_EQ(drained, static_cast<size_t>(num_shards * per_shard));
-  EXPECT_EQ(shards.TotalSize(), 0u);
-  return merged;
-}
-
-TEST(ShardedReplayBufferTest, DrainOrderedMergesSlotsInOrder) {
-  for (int num_shards : {1, 2, 8}) {
-    std::vector<int> expected;
-    for (int s = 0; s < num_shards; ++s) {
-      for (int t = 0; t < 3; ++t) expected.push_back(s * 100 + t);
-    }
-    EXPECT_EQ(MergedSequence(num_shards, 3), expected)
-        << "merge order wrong at " << num_shards << " shards";
-  }
-}
-
-TEST(ShardedReplayBufferTest, DrainOrderedIsStableAcrossRepeats) {
-  // Same pushes, same drain order — the exact sequence the deterministic
-  // training mode relies on.
-  std::vector<int> first = MergedSequence(8, 4);
-  for (int repeat = 0; repeat < 3; ++repeat) {
-    EXPECT_EQ(MergedSequence(8, 4), first);
-  }
-}
-
-TEST(ShardedReplayBufferTest, DrainAvailableDeliversEverythingAtBarrier) {
-  ShardedReplayBuffer shards(3, 8);
-  for (int s = 0; s < 3; ++s) {
-    for (int t = 0; t < 2; ++t) shards.Push(s, MakeTransition(s * 10 + t));
-  }
-  std::vector<int> merged;
-  size_t drained = shards.DrainAvailable(
-      [&merged](Transition&& t) { merged.push_back(t.action_id); });
-  EXPECT_EQ(drained, 6u);
-  // With no live producers DrainAvailable degenerates to the ordered drain.
-  EXPECT_EQ(merged, (std::vector<int>{0, 1, 10, 11, 20, 21}));
-}
-
-// ---------------------------------------------------------------------------
 // TrainActorLearner: deterministic digests across thread counts
 
 class ActorLearnerTrainingTest : public ::testing::Test {
@@ -216,17 +111,13 @@ class ActorLearnerTrainingTest : public ::testing::Test {
     size_t train_steps = 0;
   };
 
-  static Digest Train(int threads, ActorLearnerConfig::Mode mode,
-                      int num_actors = 8) {
+  static Digest Train(int threads, int num_actors = 8) {
     schema::Schema schema = schema::MakeMicroSchema();
     workload::Workload workload = workload::MakeMicroWorkload(schema);
     costmodel::CostModel model(&schema, HardwareProfile::DiskBased10G());
     PartitioningAdvisor advisor(&schema, workload, FastConfig());
     EvalContext ctx(threads, /*seed=*/99);
-    ActorLearnerConfig config;
-    config.num_actors = num_actors;
-    config.mode = mode;
-    TrainingResult result = advisor.TrainOffline(&model, config,
+    TrainingResult result = advisor.TrainOffline(&model, num_actors,
                                                  /*sampler=*/nullptr, &ctx);
     Digest digest;
     digest.rewards = result.episode_best_rewards;
@@ -239,11 +130,11 @@ class ActorLearnerTrainingTest : public ::testing::Test {
 };
 
 TEST_F(ActorLearnerTrainingTest, DeterministicModeBitIdenticalAcrossThreads) {
-  Digest base = Train(1, ActorLearnerConfig::Mode::kDeterministic);
+  Digest base = Train(1);
   ASSERT_EQ(base.rewards.size(), 16u);
   EXPECT_GT(base.train_steps, 0u);
   for (int threads : {2, 8}) {
-    Digest other = Train(threads, ActorLearnerConfig::Mode::kDeterministic);
+    Digest other = Train(threads);
     EXPECT_EQ(other.rewards, base.rewards)
         << "episode rewards diverged at " << threads << " threads";
     EXPECT_EQ(other.weights, base.weights)
@@ -253,29 +144,22 @@ TEST_F(ActorLearnerTrainingTest, DeterministicModeBitIdenticalAcrossThreads) {
 }
 
 TEST_F(ActorLearnerTrainingTest, DeterministicModeRepeatableAtFixedThreads) {
-  Digest a = Train(2, ActorLearnerConfig::Mode::kDeterministic);
-  Digest b = Train(2, ActorLearnerConfig::Mode::kDeterministic);
+  Digest a = Train(2);
+  Digest b = Train(2);
   EXPECT_EQ(a.rewards, b.rewards);
   EXPECT_EQ(a.weights, b.weights);
 }
 
 TEST_F(ActorLearnerTrainingTest, DigestsDependOnSlotCountNotThreads) {
   // Different logical slot counts are different (equally valid) trainings.
-  Digest eight = Train(1, ActorLearnerConfig::Mode::kDeterministic, 8);
-  Digest four = Train(1, ActorLearnerConfig::Mode::kDeterministic, 4);
+  Digest eight = Train(1, 8);
+  Digest four = Train(1, 4);
   EXPECT_EQ(eight.rewards.size(), four.rewards.size());
   EXPECT_NE(eight.weights, four.weights);
 }
 
-TEST_F(ActorLearnerTrainingTest, FastModeCompletesAndTrains) {
-  Digest fast = Train(4, ActorLearnerConfig::Mode::kFast);
-  EXPECT_EQ(fast.rewards.size(), 16u);
-  EXPECT_GT(fast.train_steps, 0u);
-  for (double r : fast.rewards) EXPECT_TRUE(std::isfinite(r));
-}
-
 TEST_F(ActorLearnerTrainingTest, SingleActorSingleThreadWorks) {
-  Digest one = Train(1, ActorLearnerConfig::Mode::kDeterministic, 1);
+  Digest one = Train(1, 1);
   EXPECT_EQ(one.rewards.size(), 16u);
   EXPECT_GT(one.train_steps, 0u);
 }

@@ -7,9 +7,9 @@
 //    more participants than a 4-core host has cores): multi-head agents on
 //    both schemas (one of them at batch 256, so the learner's products split
 //    across the pool, and one for 400 steps, past step 356 where Adam's
-//    1 - beta1^t rounds to 1.0), a state-action agent, whose TD targets come
-//    from one stacked GEMM, and an agent whose learning rate overflows its
-//    weights, which pins the bits of the infinite and NaN weights and losses;
+//    1 - beta1^t rounds to 1.0), and an agent whose learning rate overflows
+//    its weights, which pins the bits of the infinite and NaN weights and
+//    losses;
 //  - the weights and losses of masked training steps on networks with no,
 //    one and three hidden layers, at 1, 2, 4 and 8 threads;
 //  - the learned cost model's predictions after its TrainMse regression.
@@ -275,15 +275,6 @@ TEST(LearnerGoldenTest, TrainStepTpcchLargeBatch) {
   ExpectTrainDigests(bed, config, 30,
                      {"327e0baa7ccce800", "e2c85bf5f25116a5",
                       "e8a39db741566e14"});
-}
-
-TEST(LearnerGoldenTest, TrainStepSsbStateActionInput) {
-  const Testbed bed(schema::MakeSsbSchema(), workload::MakeSsbWorkload);
-  rl::DqnConfig config;
-  config.mode = rl::QNetworkMode::kStateActionInput;
-  ExpectTrainDigests(bed, config, 200,
-                     {"888887f9ef62e916", "e5fcd35677426b18",
-                      "4ec8a46e0574862c"});
 }
 
 // --- Mlp::TrainMaskedMse at other depths ------------------------------------

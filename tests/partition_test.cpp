@@ -244,8 +244,6 @@ TEST_F(FeaturizerTest, Dimensions) {
   // State: per-table (1 + candidates) = (1+5)+(1+1)*4 = 14, + 4 edges + 13
   // frequency slots.
   EXPECT_EQ(feat_.state_dim(), 14 + 4 + 13);
-  // Action: 4 kinds + 5 tables + max 5 candidates + 4 edges.
-  EXPECT_EQ(feat_.action_dim(), 4 + 5 + 5 + 4);
 }
 
 TEST_F(FeaturizerTest, StateEncodingMatchesFig2Layout) {
@@ -278,27 +276,6 @@ TEST_F(FeaturizerTest, EncodingIsInjectiveOverDesigns) {
   auto c = a;
   ASSERT_TRUE(c.ActivateEdge(2).ok());
   EXPECT_NE(feat_.EncodeState(a, freqs), feat_.EncodeState(c, freqs));
-}
-
-TEST_F(FeaturizerTest, ActionEncodingDistinguishesActions) {
-  ActionSpace actions(&schema_, &edges_);
-  std::vector<std::vector<double>> encs;
-  for (int id = 0; id < actions.size(); ++id) {
-    encs.push_back(feat_.EncodeAction(actions.action(id)));
-  }
-  for (size_t i = 0; i < encs.size(); ++i) {
-    for (size_t j = i + 1; j < encs.size(); ++j) {
-      EXPECT_NE(encs[i], encs[j]) << "actions " << i << " and " << j;
-    }
-  }
-}
-
-TEST_F(FeaturizerTest, StateActionConcatenation) {
-  ActionSpace actions(&schema_, &edges_);
-  auto s = PartitioningState::Initial(&schema_, &edges_);
-  std::vector<double> freqs(13, 1.0);
-  auto enc = feat_.EncodeStateAction(s, freqs, actions.action(0));
-  EXPECT_EQ(static_cast<int>(enc.size()), feat_.state_dim() + feat_.action_dim());
 }
 
 TEST(FeaturizerSlots, ReservedQuerySlotsStayZero) {

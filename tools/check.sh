@@ -9,7 +9,6 @@
 #   $ tools/check.sh fleet           # TSan fleet tests + 100-tenant smoke
 #   $ tools/check.sh autopilot       # TSan autopilot tests + bench smoke
 #   $ tools/check.sh storage         # ASan+UBSan storage/engine + compression smoke
-#   $ tools/check.sh train           # TSan actor/learner tests + training kernel
 #   $ tools/check.sh search          # ASan+UBSan search/pruning/inference tests + DP bench smoke
 #   $ LPA_SANITIZE=undefined tools/check.sh
 #   $ BUILD_DIR=build-asan tools/check.sh
@@ -21,9 +20,14 @@
 # The tsan preset builds with -DLPA_SANITIZE=thread into build-tsan and, by
 # default, runs only the tests that exercise the parallel evaluation engine
 # (parallel_eval_test, with the learner step on a blocked and on a shared
-# pool, and every TPC-CH query priced from 4 pool threads against the serial
-# bits, which exercises the planner's per-thread scratch), the learner's
-# regions (learner_golden_test at 1/2/4/8 threads), the inference rollouts
+# pool, two agents training at once on child contexts of one pool, and every
+# TPC-CH query priced from 4 pool threads against the serial bits, which
+# exercises the planner's per-thread scratch), the actor/learner rounds
+# (actor_learner_test: a round's slots select actions from one agent on the
+# pool, and the reward and weight digests must match at 1, 2 and 8 threads),
+# rl_test, the learner's regions (learner_golden_test at 1/2/4/8 threads),
+# every compiled SIMD variant of the nn/ kernels against the scalar loops
+# (nn_kernels_test), the inference rollouts
 # (extra rollouts on the pool, and serial on the non-thread-safe online
 # environment), the execution engine
 # (engine_exec_test: pooled scan/shuffle/join kernels at 2 and 8 threads,
@@ -77,19 +81,6 @@
 # that revisit kept shard layouts, serial and on 4 threads, and pins every
 # cost, the accounting, the movement counters and the final shards.
 #
-# The train preset builds the actor/learner pipeline tests (actor_learner_test
-# runs the deterministic digest checks at 1, 2, and 8 actor threads plus the
-# SPSC shard and fast-mode interleavings TSan exists for), rl_test, the
-# learner's golden test (forward, weight and loss digests at 1, 2, 4 and 8
-# threads, whose pooled steps run the learner's regions),
-# parallel_eval_test (a learner step while every pool worker is blocked, and
-# two agents training at once on child contexts of one pool) and the
-# per-variant kernel test (every compiled SIMD variant of the nn/ kernels
-# against the scalar loops, bit for bit) under TSan, runs them, then drives
-# the training kernel of bench_micro_components,
-# which re-asserts bit-identical reward and weight digests at 1/2/8 threads
-# and writes BENCH_training.json to $LPA_METRICS_DIR (or build-tsan).
-#
 # The search preset builds the design-search subsystem (src/search/) under
 # ASan+UBSan and runs search_test (DP (1+ε) certificate vs exhaustive
 # enumeration, admissible floors, pruned-Suggest bit-identity at 1/2/8
@@ -115,13 +106,14 @@
 # BM_SealSsbFactTable, BM_RepartitionFactTable: a cold repartition on a fresh
 # cluster) and the online-engine benchmarks (BM_OnlineEnvTpcchSample*: the
 # seeded online replay of tests/online_golden_test.cpp on perfbench
-# refine_tpcch's 20% sample, serial and on a 4-thread pool) and warm
+# refine_tpcch's 20% sample, serial and on a 4-thread pool), warm
 # per-step workload pricing through the query cost memo
-# (BM_OfflineEnvStepCost{Ssb,Tpcch}), followed by its post-benchmark
-# kernels: the storage kernel (encode/decode MB/s per encoding and
-# per-column compression), the engine kernel (pool-parallel
-# ExecuteWorkload at 1/2/8 threads with bit-identity digest checks) and the
-# actor/learner training kernel. BENCH_storage.json, BENCH_engine.json and
+# (BM_OfflineEnvStepCost{Ssb,Tpcch}) and the three single-iteration kernel
+# benchmarks: BM_StorageKernel (encode/decode MB/s per encoding and
+# per-column compression), BM_EngineKernel (pool-parallel ExecuteWorkload at
+# 1/2/8 threads with bit-identity digest checks) and BM_TrainingKernel
+# (actor/learner rounds at 1/2/8 threads with bit-identity digest checks,
+# and serial Train beside them). BENCH_storage.json, BENCH_engine.json and
 # BENCH_training.json land in $LPA_METRICS_DIR (or build-perf).
 set -euo pipefail
 
@@ -142,10 +134,10 @@ if [[ "${PRESET}" == "perf" ]]; then
     echo "== FAIL: lpa_nn contains FMA instructions (see above) =="
     exit 1
   fi
-  echo "== planner + learner + storage + online-engine + step-pricing benchmarks + perf kernels: storage + engine (pool-parallel) + training =="
+  echo "== planner + learner + storage + online-engine + step-pricing benchmarks + kernels: storage + engine (pool-parallel) + training =="
   LPA_METRICS_DIR="${LPA_METRICS_DIR:-${BUILD_DIR}}" \
     "${BUILD_DIR}/bench/bench_micro_components" \
-      --benchmark_filter='CostModelPlan|DpDesign|DqnTrainStep|TrainOffline|MlpForward|Seal|RepartitionFactTable|GenerateSsb|OnlineEnv|OfflineEnvStepCost'
+      --benchmark_filter='CostModelPlan|DpDesign|DqnTrainStep|TrainOffline|MlpForward|Seal|RepartitionFactTable|GenerateSsb|OnlineEnv|OfflineEnvStepCost|Kernel'
   echo "== OK: matching digests above = bit-identical results; see BENCH_engine.json =="
   exit 0
 fi
@@ -236,28 +228,6 @@ if [[ "${PRESET}" == "storage" ]]; then
   echo "== OK: encodings round-trip, golden encoder bytes, >=2x compression, encoded engine bit-identical, online golden =="
   exit 0
 fi
-if [[ "${PRESET}" == "train" ]]; then
-  BUILD_DIR="${BUILD_DIR:-build-tsan}"
-  JOBS="$(nproc 2>/dev/null || echo 4)"
-  echo "== configure (${BUILD_DIR}, -fsanitize=thread) =="
-  cmake -B "${BUILD_DIR}" -S . -DLPA_SANITIZE=thread \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
-  echo "== build actor_learner_test + rl_test + learner + pool tests + bench =="
-  cmake --build "${BUILD_DIR}" -j "${JOBS}" --target actor_learner_test \
-    rl_test learner_golden_test nn_kernels_test parallel_eval_test \
-    bench_micro_components
-  echo "== actor/learner + rl + learner + pool tests (TSan, 1/2/8 actor threads) =="
-  TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-    ctest --test-dir "${BUILD_DIR}" --output-on-failure \
-      -R 'actor_learner_test|rl_test|learner_golden_test|nn_kernels_test|parallel_eval_test'
-  echo "== training kernel: digest equality at 1/2/8 threads + fast mode =="
-  TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-  LPA_METRICS_DIR="${LPA_METRICS_DIR:-${BUILD_DIR}}" \
-  LPA_BENCH_SCALE="${LPA_BENCH_SCALE:-4}" \
-    "${BUILD_DIR}/bench/bench_micro_components" --benchmark_filter='^$'
-  echo "== OK: actor/learner TSan-clean, deterministic digests bit-identical =="
-  exit 0
-fi
 if [[ "${PRESET}" == "search" ]]; then
   BUILD_DIR="${BUILD_DIR:-build-sanitize}"
   JOBS="$(nproc 2>/dev/null || echo 4)"
@@ -284,7 +254,7 @@ fi
 if [[ "${PRESET}" == "tsan" ]]; then
   SANITIZE="${LPA_SANITIZE:-thread}"
   BUILD_DIR="${BUILD_DIR:-build-tsan}"
-  CTEST_FILTER="${CTEST_FILTER:-parallel_eval_test|learner_golden_test|inference_test|engine_exec_test|serving_test|fleet_test}"
+  CTEST_FILTER="${CTEST_FILTER:-parallel_eval_test|actor_learner_test|rl_test|learner_golden_test|nn_kernels_test|inference_test|engine_exec_test|serving_test|fleet_test}"
 else
   SANITIZE="${LPA_SANITIZE:-address,undefined}"
   BUILD_DIR="${BUILD_DIR:-build-sanitize}"
