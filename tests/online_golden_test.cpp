@@ -10,8 +10,9 @@
 // sometimes three, and every fourth step reverts the previous change, so
 // tables revisit layouts they held before: A -> B -> A between two
 // columns, and partitioned -> replicated -> partitioned. It runs with the
-// engine serial and on a 4-thread exec context; both must give the pinned
-// values. The values were recorded before the engine kept shard layouts.
+// engine serial and on 4- and 8-thread exec contexts; all must give the
+// pinned values. The values were recorded before the engine kept shard
+// layouts.
 
 #include <gtest/gtest.h>
 
@@ -260,6 +261,10 @@ void ExpectGolden(const Golden& got) {
 TEST(OnlineEngineGoldenTest, SerialEngine) { ExpectGolden(Replay(1)); }
 
 TEST(OnlineEngineGoldenTest, FourThreadEngine) { ExpectGolden(Replay(4)); }
+
+// More threads than this host's cores, so one step's uncached queries can
+// outnumber the cores they run on.
+TEST(OnlineEngineGoldenTest, EightThreadEngine) { ExpectGolden(Replay(8)); }
 
 }  // namespace
 }  // namespace lpa
