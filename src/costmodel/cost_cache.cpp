@@ -8,15 +8,16 @@ namespace lpa::costmodel {
 
 namespace {
 
+/// Hits are tallied per shard only (`CostCache::stats()`): a process-wide
+/// counter bumped on every hit would be one more contended cache line per
+/// probe.
 struct CacheMetrics {
-  telemetry::Counter& hits;
   telemetry::Counter& misses;
   telemetry::Counter& evictions;
 
   static CacheMetrics& Get() {
     auto& reg = telemetry::MetricsRegistry::Global();
     static CacheMetrics* m = new CacheMetrics{
-        reg.GetCounter("costmodel.cost_cache_hits.count"),
         reg.GetCounter("costmodel.cost_cache_misses.count"),
         reg.GetCounter("costmodel.cost_cache_evictions.count")};
     return *m;
@@ -60,8 +61,7 @@ bool CostCache::Find(Key key, uint64_t hash, double* value) {
     }
     ++(hit ? shard.hits : shard.misses);
   }
-  CacheMetrics& metrics = CacheMetrics::Get();
-  (hit ? metrics.hits : metrics.misses).Add();
+  if (!hit) CacheMetrics::Get().misses.Add();
   return hit;
 }
 

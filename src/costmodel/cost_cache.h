@@ -32,8 +32,9 @@ namespace lpa::costmodel {
 /// an inconsistent memo). Cost values are deterministic functions of the
 /// key, so whichever insert wins stores the same value.
 ///
-/// Telemetry: hits, misses and refused inserts are reported through
-/// `costmodel.cost_cache_{hits,misses,evictions}.count`.
+/// Telemetry: misses and refused inserts are reported through
+/// `costmodel.cost_cache_{misses,evictions}.count`; hits are tallied per
+/// shard and read through `stats()`.
 class CostCache {
  public:
   using Key = uint64_t;

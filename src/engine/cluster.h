@@ -12,6 +12,7 @@
 
 namespace lpa {
 class EvalContext;
+class ThreadPool;
 }  // namespace lpa
 
 namespace lpa::engine {
@@ -49,6 +50,14 @@ struct QueryRunStats {
   uint64_t bytes_shuffled = 0;
   /// Portion of `bytes_shuffled` sent by broadcast exchanges.
   uint64_t bytes_broadcast = 0;
+};
+
+/// \brief One query of a `ClusterDatabase::ExecuteQueries` batch.
+struct QueryRun {
+  const workload::QuerySpec* query = nullptr;
+  /// Design key the query's measurement noise is seeded with: the
+  /// `deployed_design_key()` of the deployment it is measured under.
+  uint64_t design_key = 0;
 };
 
 /// \brief A simulated shared-nothing database cluster.
@@ -92,6 +101,10 @@ class ClusterDatabase {
     return deployed_;
   }
 
+  /// \brief The deployed design's part of the measurement-noise seed (a
+  /// hash of its PhysicalDesignKey; 0 before the first ApplyDesign).
+  uint64_t deployed_design_key() const { return deployed_key_hash_; }
+
   /// \brief Plan (via the injected optimizer) and execute one query against
   /// the deployed design. Aborts if no design is deployed.
   ///
@@ -102,10 +115,26 @@ class ClusterDatabase {
   QueryRunStats ExecuteQuery(const workload::QuerySpec& query,
                              EvalContext* ctx = nullptr) const;
 
-  /// \brief Frequency-weighted workload runtime `sum_j f_j * seconds(q_j)`.
-  /// With a pooled `ctx` the per-query loop itself fans out (queries are
-  /// independent; the weighted sum reduces in query order, so the total is
-  /// bit-identical to the serial run).
+  /// \brief Execute a batch of queries against the deployed design; entry i
+  /// of the result is `runs[i]`'s stats. Query i's measurement noise is
+  /// seeded with `runs[i].design_key` instead of the deployed design's key,
+  /// so a caller may deploy the tables of several queries one after another
+  /// and execute them together afterwards: each query measures exactly as
+  /// if it had run right after its own deployment, provided the later
+  /// deployments left its tables where they were.
+  ///
+  /// A lone query runs as in ExecuteQuery, its per-node kernels on `ctx`'s
+  /// pool. Two or more run side by side on the pool, each serial inside,
+  /// every thread taking the next query from a shared cursor until none is
+  /// left. The stats are bit-identical at any thread count, and the engine
+  /// counters are recorded on the calling thread in batch order.
+  std::vector<QueryRunStats> ExecuteQueries(const std::vector<QueryRun>& runs,
+                                            EvalContext* ctx = nullptr) const;
+
+  /// \brief Frequency-weighted workload runtime `sum_j f_j * seconds(q_j)`:
+  /// the queries with a positive frequency run as one ExecuteQueries batch
+  /// under the deployed design's key, and the weighted sum reduces in query
+  /// order, so the total is bit-identical at any thread count.
   double ExecuteWorkload(const workload::Workload& workload,
                          EvalContext* ctx = nullptr) const;
 
@@ -189,6 +218,20 @@ class ClusterDatabase {
   /// \brief Exchange-priced bytes per row of table `t`: encoded width when
   /// `price_encoded_bytes`, logical width otherwise.
   double PricedRowWidth(schema::TableId t) const;
+
+  /// Counts of one execution that only feed the engine's counters.
+  struct ExecTally {
+    uint64_t join_probes = 0;
+    uint64_t parallel_chunks = 0;
+    uint64_t encoded_exchanged = 0;
+  };
+
+  /// \brief Execute `query` by `plan` with its noise seeded by
+  /// `design_key`, fanning the per-node kernels out over `pool` (null:
+  /// serial). Records nothing.
+  QueryRunStats RunQuery(const workload::QuerySpec& query,
+                         const costmodel::QueryPlan& plan, uint64_t design_key,
+                         ThreadPool* pool, ExecTally* tally) const;
 
   /// \brief Plan `query` through the plan cache: keyed by (structural query
   /// hash, deployed design fingerprint of the query's tables, planner stats

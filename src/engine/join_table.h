@@ -13,11 +13,14 @@ namespace lpa::engine {
 /// hash equality, exactly like the multimap it replaces), values are build
 /// row indices.
 ///
-/// Layout: a power-of-two array of slots probed linearly, one slot per
-/// distinct key hash, plus one contiguous payload array of (row, next)
-/// entries. Duplicate keys cost a single payload append that prepends to the
-/// slot's chain — never a second probe sequence — so build is O(rows) with
-/// two cache lines touched per insert and probe walks one contiguous chain.
+/// Layout: a power-of-two array of 4-byte slots probed linearly, one slot
+/// per distinct key hash, each holding the first entry of that hash's
+/// chain, plus one contiguous payload array of (hash, row, next) entries.
+/// A probe compares the hash stored in the slot's first entry, which a hit
+/// reads next anyway. Duplicate keys cost a single payload append that
+/// prepends to the slot's chain — never a second probe sequence — so build
+/// is O(rows) and a probe walks one contiguous chain. A build row costs 16
+/// payload bytes plus 8–16 slot bytes.
 ///
 /// The table is built serially and may then be probed concurrently from many
 /// threads (`Find` is const and touches no shared mutable state; probe
@@ -28,6 +31,7 @@ class JoinTable {
   static constexpr uint32_t kNone = 0xffffffffu;
 
   struct Entry {
+    uint64_t hash;  ///< key hash of the row (the same along a chain)
     uint32_t row;   ///< build-side row index
     uint32_t next;  ///< next entry with the same key hash, or kNone
   };
@@ -39,7 +43,7 @@ class JoinTable {
     size_t cap = 16;
     while (cap < build_rows * 2) cap <<= 1;
     mask_ = cap - 1;
-    slots_.assign(cap, Slot{0, kNone});
+    slots_.assign(cap, kNone);
     entries_.clear();
     entries_.reserve(build_rows);
   }
@@ -50,16 +54,10 @@ class JoinTable {
     size_t i = static_cast<size_t>(hash) & mask_;
     while (true) {
       ++*probes;
-      Slot& s = slots_[i];
-      if (s.head == kNone) {
-        s.hash = hash;
-        s.head = static_cast<uint32_t>(entries_.size());
-        entries_.push_back(Entry{row, kNone});
-        return;
-      }
-      if (s.hash == hash) {
-        entries_.push_back(Entry{row, s.head});
-        s.head = static_cast<uint32_t>(entries_.size() - 1);
+      uint32_t& head = slots_[i];
+      if (head == kNone || entries_[head].hash == hash) {
+        entries_.push_back(Entry{hash, row, head});
+        head = static_cast<uint32_t>(entries_.size() - 1);
         return;
       }
       i = (i + 1) & mask_;
@@ -72,9 +70,8 @@ class JoinTable {
     size_t i = static_cast<size_t>(hash) & mask_;
     while (true) {
       ++*probes;
-      const Slot& s = slots_[i];
-      if (s.head == kNone) return kNone;
-      if (s.hash == hash) return s.head;
+      const uint32_t head = slots_[i];
+      if (head == kNone || entries_[head].hash == hash) return head;
       i = (i + 1) & mask_;
     }
   }
@@ -84,13 +81,9 @@ class JoinTable {
   size_t capacity() const { return slots_.size(); }
 
  private:
-  struct Slot {
-    uint64_t hash;  ///< valid only when head != kNone
-    uint32_t head;  ///< first payload entry, or kNone when the slot is empty
-  };
-
   size_t mask_ = 0;
-  std::vector<Slot> slots_;
+  /// First payload entry of each slot's chain, or kNone when empty.
+  std::vector<uint32_t> slots_;
   std::vector<Entry> entries_;
 };
 

@@ -68,54 +68,87 @@ void OnlineEnv::DeployFor(int query_index,
   accounting_.repartition_seconds += cluster_->ApplyDesign(hybrid);
 }
 
+void OnlineEnv::Walk(const partition::PartitioningState& state,
+                     std::vector<PricedQuery>* queries, EvalContext* ctx) {
+  // Phase 1, in query order on this thread: probe the runtime cache, deploy
+  // each miss's tables and note the design key the miss is measured under,
+  // the one its own deployment left.
+  std::vector<size_t> misses;
+  std::vector<uint64_t> keys;
+  std::vector<engine::QueryRun> runs;
+  size_t hits = 0;
+  for (size_t k = 0; k < queries->size(); ++k) {
+    PricedQuery& p = (*queries)[k];
+    const uint64_t key =
+        HashCombine(Hash64(static_cast<uint64_t>(p.query)),
+                    state.DesignFingerprint(QueryTables(p.query)));
+    if (options_.use_runtime_cache) {
+      auto it = cache_.find(key);
+      if (it != cache_.end()) {
+        p.cost = it->second;
+        ++hits;
+        continue;
+      }
+    }
+    if (options_.use_lazy_repartitioning) {
+      DeployFor(p.query, state);
+    } else {
+      accounting_.repartition_seconds += cluster_->ApplyDesign(state);
+    }
+    misses.push_back(k);
+    keys.push_back(key);
+    runs.push_back(
+        {&workload_->query(p.query), cluster_->deployed_design_key()});
+  }
+  OnlineEnvMetrics& metrics = OnlineEnvMetrics::Get();
+  accounting_.cache_hits += hits;
+  if (hits > 0) metrics.cache_hits.Add(hits);
+  if (runs.empty()) return;
+
+  // Phase 2: execute the misses. Later deployments only placed tables the
+  // way `state` places them, so each miss still finds its tables as its own
+  // deployment left them. Two or more run side by side on the pool (only
+  // its pool is used, never a context's RNG). A lone miss runs on this
+  // thread: fanning its per-node kernels out as well left the pool threads
+  // with larger heaps and measured no faster.
+  EvalContext* exec = exec_ctx_ != nullptr ? exec_ctx_ : ctx;
+  const std::vector<engine::QueryRunStats> stats =
+      cluster_->ExecuteQueries(runs, runs.size() > 1 ? exec : nullptr);
+  accounting_.queries_executed += runs.size();
+  metrics.queries_executed.Add(runs.size());
+
+  // Phase 3, in query order: accounting, the timeout rule and the cache.
+  for (size_t m = 0; m < misses.size(); ++m) {
+    PricedQuery& p = (*queries)[misses[m]];
+    const double scale = scale_[static_cast<size_t>(p.query)];
+    const double sample_seconds = stats[m].seconds;
+    const double scaled = scale * sample_seconds;
+    double charged = sample_seconds;
+    // Timeout rule: a single query whose weighted share exceeds the best
+    // known workload cost proves the partitioning inferior; cut execution
+    // there.
+    if (options_.use_timeouts && best_cost_ > 0.0 && p.frequency > 0.0) {
+      const double budget_scaled = best_cost_ / p.frequency;
+      if (scaled > budget_scaled) {
+        charged = budget_scaled / scale;
+        accounting_.timeout_saved_seconds += sample_seconds - charged;
+        metrics.timeout_saved.AddSeconds(sample_seconds - charged);
+      }
+    }
+    accounting_.query_seconds += charged;
+    // A cut query's true (uncut) cost enters the cache too, so later mixes
+    // reuse it.
+    cache_.emplace(keys[m], scaled);
+    p.cost = scaled;
+  }
+}
+
 double OnlineEnv::QueryCost(int query_index,
                             const partition::PartitioningState& state,
                             double frequency) {
-  uint64_t key = HashCombine(Hash64(static_cast<uint64_t>(query_index)),
-                             state.DesignFingerprint(QueryTables(query_index)));
-  if (options_.use_runtime_cache) {
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      ++accounting_.cache_hits;
-      OnlineEnvMetrics::Get().cache_hits.Add();
-      return it->second;
-    }
-  }
-
-  if (options_.use_lazy_repartitioning) {
-    DeployFor(query_index, state);
-  } else {
-    accounting_.repartition_seconds += cluster_->ApplyDesign(state);
-  }
-
-  // Engine-internal parallelism only: the pool fans the per-node kernels of
-  // this one query; the RNG of neither context is ever touched here.
-  EvalContext* exec_ctx = exec_ctx_ != nullptr ? exec_ctx_ : wc_ctx_;
-  double sample_seconds =
-      cluster_->ExecuteQuery(workload_->query(query_index), exec_ctx).seconds;
-  ++accounting_.queries_executed;
-  OnlineEnvMetrics::Get().queries_executed.Add();
-  double scaled = scale_[static_cast<size_t>(query_index)] * sample_seconds;
-
-  // Timeout rule: a single query whose weighted share exceeds the best known
-  // workload cost proves the partitioning inferior; cut execution there.
-  if (options_.use_timeouts && best_cost_ > 0.0 && frequency > 0.0) {
-    double budget_scaled = best_cost_ / frequency;
-    if (scaled > budget_scaled) {
-      double budget_sample =
-          budget_scaled / scale_[static_cast<size_t>(query_index)];
-      accounting_.timeout_saved_seconds += sample_seconds - budget_sample;
-      OnlineEnvMetrics::Get().timeout_saved.AddSeconds(sample_seconds -
-                                                       budget_sample);
-      accounting_.query_seconds += budget_sample;
-      // The true (uncut) cost still enters the cache so later mixes reuse it.
-      cache_.emplace(key, scaled);
-      return scaled;
-    }
-  }
-  accounting_.query_seconds += sample_seconds;
-  cache_.emplace(key, scaled);
-  return scaled;
+  std::vector<PricedQuery> one = {{query_index, frequency, 0.0}};
+  Walk(state, &one, nullptr);
+  return one[0].cost;
 }
 
 double OnlineEnv::WorkloadCost(const partition::PartitioningState& state,
@@ -124,9 +157,16 @@ double OnlineEnv::WorkloadCost(const partition::PartitioningState& state,
   if (!options_.use_lazy_repartitioning) {
     accounting_.repartition_seconds += cluster_->ApplyDesign(state);
   }
-  wc_ctx_ = ctx;
-  double total = PartitioningEnv::WorkloadCost(state, frequencies, ctx);
-  wc_ctx_ = nullptr;
+  std::vector<PricedQuery> queries;
+  const size_t num_queries = static_cast<size_t>(workload_->num_queries());
+  for (size_t j = 0; j < num_queries && j < frequencies.size(); ++j) {
+    if (frequencies[j] > 0.0) {
+      queries.push_back({static_cast<int>(j), frequencies[j], 0.0});
+    }
+  }
+  Walk(state, &queries, ctx);
+  double total = 0.0;
+  for (const PricedQuery& p : queries) total += p.frequency * p.cost;
   if (best_cost_ < 0.0 || total < best_cost_) best_cost_ = total;
   return total;
 }

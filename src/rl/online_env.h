@@ -55,11 +55,14 @@ class OnlineEnv : public PartitioningEnv {
 
   /// \brief WorkloadCost override: without lazy repartitioning the full
   /// design is deployed eagerly before any query runs; it also maintains the
-  /// best-known workload cost used by the timeout rule. The online env
-  /// mutates cluster state per query, so the per-query loop itself never
-  /// parallelizes (the base class honours SupportsParallelEval() = false) —
-  /// but `ctx`'s thread pool is handed down into `ExecuteQuery`, whose
-  /// per-node kernels fan out deterministically *inside* each query.
+  /// best-known workload cost used by the timeout rule. The queries that
+  /// miss the runtime cache are deployed one by one on the calling thread,
+  /// each noting the design key it is measured under, then executed as one
+  /// `ExecuteQueries` batch: side by side on the exec context's pool (`ctx`'s
+  /// when none is set) when two or more miss, on the calling thread when
+  /// one does. Accounting, timeouts and cache inserts then follow in query
+  /// order, so every result is bit-identical to executing each miss right
+  /// after its deployment, at any thread count.
   double WorkloadCost(const partition::PartitioningState& state,
                       const std::vector<double>& frequencies,
                       EvalContext* ctx = nullptr) override;
@@ -72,15 +75,29 @@ class OnlineEnv : public PartitioningEnv {
   void SetBestKnownCost(double cost) { best_cost_ = cost; }
   double best_known_cost() const { return best_cost_; }
 
-  /// \brief Standing execution context for intra-query engine parallelism.
-  /// Only the context's thread pool is used (never its RNG), so setting it
-  /// speeds up measured execution without touching any training RNG stream —
-  /// results stay bit-identical at every thread count. Must outlive the env
-  /// or be reset to nullptr. Takes precedence over the ctx passed to
-  /// WorkloadCost.
+  /// \brief Standing execution context whose pool runs a step's uncached
+  /// queries side by side. Only the context's thread pool is used (never
+  /// its RNG), so setting it speeds up measured execution without touching
+  /// any training RNG stream — results stay bit-identical at every thread
+  /// count. Must outlive the env or be reset to nullptr. Takes precedence
+  /// over the ctx passed to WorkloadCost.
   void set_exec_context(EvalContext* ctx) { exec_ctx_ = ctx; }
 
  private:
+  /// One query of a walk: its index and frequency in, its cost out.
+  struct PricedQuery {
+    int query;
+    double frequency;
+    double cost;
+  };
+
+  /// \brief Price `queries` (in query order) under `state` in three phases:
+  /// probe the cache and deploy each miss on this thread, execute the misses
+  /// as one batch on the engine, then fold accounting, timeouts and cache
+  /// inserts back in query order.
+  void Walk(const partition::PartitioningState& state,
+            std::vector<PricedQuery>* queries, EvalContext* ctx);
+
   /// Deploy the parts of `state` needed before executing `query_index`.
   void DeployFor(int query_index, const partition::PartitioningState& state);
 
@@ -100,9 +117,6 @@ class OnlineEnv : public PartitioningEnv {
   double best_cost_ = -1.0;  ///< negative = unknown
   /// Standing context from set_exec_context (pool reused for every query).
   EvalContext* exec_ctx_ = nullptr;
-  /// Context of the WorkloadCost call in flight, stashed so QueryCost can
-  /// fan the engine kernels out over its pool; cleared on return.
-  EvalContext* wc_ctx_ = nullptr;
 };
 
 /// \brief Measure the per-query scale factors S_i between the full cluster

@@ -301,6 +301,76 @@ TEST(TpcchExecTest, EveryJoinStrategyBitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(TpcchExecTest, BatchMatchesEachQueryRunAfterItsOwnDeployment) {
+  // The online environment's walk: deploy each query's tables in turn (the
+  // rest of the design stays as deployed), then execute the queries as one
+  // batch, each under the design key its own deployment left. Every query
+  // must measure exactly as ExecuteQuery did right after that deployment,
+  // serially and side by side on 2 and 8 threads.
+  auto schema = schema::MakeTpcchSchema();
+  auto wl = workload::MakeTpcchWorkload(schema);
+  auto edges = EdgeSet::Extract(schema, wl);
+  NoisyOptimizerModel planner(&schema, HardwareProfile::DiskBased10G(), 0.05,
+                              43, false);
+  storage::GenerationConfig config;
+  config.fraction = 1e-3;
+  config.small_table_threshold = 300;
+  config.seed = 13;
+  ClusterDatabase cluster(
+      storage::Database::Generate(schema, wl, config),
+      EngineConfig{HardwareProfile::DiskBased10G(), 0.02, 5}, &planner);
+  const auto initial = PartitioningState::Initial(&schema, &edges);
+  auto target = initial;
+  schema::TableId order = schema.TableIndex("order");
+  schema::TableId ol = schema.TableIndex("orderline");
+  schema::TableId item = schema.TableIndex("item");
+  ASSERT_TRUE(
+      target.PartitionBy(order, schema.table(order).ColumnIndex("o_c_id"))
+          .ok());
+  ASSERT_TRUE(
+      target.PartitionBy(ol, schema.table(ol).ColumnIndex("ol_i_id")).ok());
+  ASSERT_TRUE(target.Replicate(item).ok());
+
+  cluster.ApplyDesign(initial);
+  std::vector<QueryRun> runs;
+  std::vector<QueryRunStats> want;
+  std::set<uint64_t> keys;
+  for (const auto& q : wl.queries()) {
+    auto design = cluster.deployed_design()->table_partitions();
+    for (schema::TableId t : q.tables()) {
+      design[static_cast<size_t>(t)] = target.table_partition(t);
+    }
+    cluster.ApplyDesign(PartitioningState::FromDesign(&schema, &edges, design));
+    runs.push_back({&q, cluster.deployed_design_key()});
+    keys.insert(cluster.deployed_design_key());
+    want.push_back(cluster.ExecuteQuery(q));
+  }
+  ASSERT_GE(keys.size(), 2u) << "every query ran under one design key";
+  // The deployed design's own key measures some queries differently.
+  size_t differ = 0;
+  for (size_t i = 0; i < runs.size(); ++i) {
+    if (cluster.ExecuteQuery(*runs[i].query).seconds != want[i].seconds) {
+      ++differ;
+    }
+  }
+  EXPECT_GT(differ, 0u);
+
+  EvalContext ctx1(1, 51);
+  EvalContext ctx2(2, 52);
+  EvalContext ctx8(8, 53);
+  for (EvalContext* ctx : {&ctx1, &ctx2, &ctx8}) {
+    const std::string at = " @" + std::to_string(ctx->threads());
+    const std::vector<QueryRunStats> got = cluster.ExecuteQueries(runs, ctx);
+    ASSERT_EQ(got.size(), runs.size());
+    for (size_t i = 0; i < runs.size(); ++i) {
+      ExpectIdentical(want[i], got[i], runs[i].query->name + at);
+    }
+    // A batch of one: the per-node fan-out inside the query.
+    ExpectIdentical(want.back(), cluster.ExecuteQueries({runs.back()}, ctx)[0],
+                    runs.back().query->name + " alone" + at);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Compressed storage (docs/INTERNALS.md §11): the encoded engine must be
 // bit-identical to the uncompressed engine, while resident memory shrinks.

@@ -31,10 +31,13 @@
 # (extra rollouts on the pool, and serial on the non-thread-safe online
 # environment), the execution engine
 # (engine_exec_test: pooled scan/shuffle/join kernels at 2 and 8 threads,
-# concurrent plan-cache lookups through a pooled ExecuteWorkload, and the
-# planner's depth-noise memo warmed from 8 threads) and the serving
-# subsystem (TSan slows everything ~10x; the serial tests gain nothing from
-# it).
+# query batches run side by side at 2 and 8 threads, concurrent plan-cache
+# lookups through a pooled ExecuteWorkload, and the planner's depth-noise
+# memo warmed from 8 threads), the online environment (online_golden_test:
+# each step's uncached queries run side by side on 4 and 8 threads, sharing
+# the sampled cluster's plan cache, the planner's noise memo and the engine
+# counters) and the serving subsystem (TSan slows everything ~10x; the
+# serial tests gain nothing from it).
 #
 # The serve preset builds serving_test and lpa_loadgen under TSan, runs the
 # serving tests (served results bit-identical to serial at 1/2/4/8 workers),
@@ -78,8 +81,8 @@
 # 1/2/8 threads (plus the encoded-pricing, BulkAppend re-seal and kept-layout
 # paths). Bit-packing is exactly the kind of code UBSan exists for. The
 # online golden test replays the online environment over seeded designs
-# that revisit kept shard layouts, serial and on 4 threads, and pins every
-# cost, the accounting, the movement counters and the final shards.
+# that revisit kept shard layouts, serial and on 4 and 8 threads, and pins
+# every cost, the accounting, the movement counters and the final shards.
 #
 # The search preset builds the design-search subsystem (src/search/) under
 # ASan+UBSan and runs search_test (DP (1+ε) certificate vs exhaustive
@@ -254,7 +257,7 @@ fi
 if [[ "${PRESET}" == "tsan" ]]; then
   SANITIZE="${LPA_SANITIZE:-thread}"
   BUILD_DIR="${BUILD_DIR:-build-tsan}"
-  CTEST_FILTER="${CTEST_FILTER:-parallel_eval_test|actor_learner_test|rl_test|learner_golden_test|nn_kernels_test|inference_test|engine_exec_test|serving_test|fleet_test}"
+  CTEST_FILTER="${CTEST_FILTER:-parallel_eval_test|actor_learner_test|rl_test|learner_golden_test|nn_kernels_test|inference_test|engine_exec_test|online_golden_test|serving_test|fleet_test}"
 else
   SANITIZE="${LPA_SANITIZE:-address,undefined}"
   BUILD_DIR="${BUILD_DIR:-build-sanitize}"
